@@ -1,11 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Just enough machinery for the route policy: matmul, broadcast add/mul,
-concat/gather/reshape, the activations the model uses, masked log-softmax,
-layer norm, and dropout.  Every primitive records its parents and a local
-backward closure; `backward` walks the implicit tape in reverse topological
-order.  A finite-difference gradient checker and an Adam step with global
-gradient-norm clipping round the module out.
+concat/gather/reshape/pick, the activations the model uses, masked
+log-softmax, layer norm, and dropout.  Three fused primitives cover the
+model's hot subgraphs in one node each, with hand-derived backwards:
+`gatv2_scores` (the GATv2 pair scores, broadcast to n x n x d instead of
+gathered), `gru_cell` (a whole GRU update) and `pointer_logits` (the
+additive-attention pointer head).  Every primitive records its parents and
+a local backward closure; `backward` walks the implicit tape in reverse
+topological order.  A finite-difference gradient checker and an Adam step
+with global gradient-norm clipping round the module out.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
-        arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
-            raise DomainError(f"tensors are 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+            arr = np.atleast_2d(arr)
+            if arr.ndim != 2:
+                raise DomainError(f"tensors are 2-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
             raise NumericError(f"non-finite values in tensor {name or '<unnamed>'}")
         self.data = arr
         self.grad = None
@@ -50,9 +56,6 @@ class Tensor:
         if self.data.size != 1:
             raise DomainError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __add__(self, other):
         return add(self, other)
@@ -82,9 +85,11 @@ def _result(data, parents, backward, name=""):
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    # the first write copies: g may be a view of another node's gradient
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -170,6 +175,19 @@ def gather_rows(a, idx) -> Tensor:
         _accumulate(a, ga)
 
     return _result(a.data[idx], (a,), backward)
+
+
+def pick(a, i: int, j: int) -> Tensor:
+    """The single entry a[i, j] as a 1x1 tensor."""
+    a = _as_tensor(a)
+    i, j = int(i), int(j)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[i, j] = g[0, 0]
+        _accumulate(a, ga)
+
+    return _result(a.data[i, j], (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -334,6 +352,98 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> 
         _accumulate(a, g * keep)
 
     return _result(a.data * keep, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused primitives: one node and a hand-derived backward for a whole subgraph
+
+def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
+    """GATv2 pair scores: out[i, j] = attn^T LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] W_edge).
+
+    Hd and Hs are (n, d), W_edge is (1, d), attn is (d, 1) and edge_t is a
+    constant (n, n) array.  The pre-activation is a broadcast sum over
+    (n, n, d), so the backward reduces it with two axis-sums and two
+    contractions over the (i, j) pairs; there is no gather.
+    """
+    Hd, Hs, W_edge, attn = (_as_tensor(t) for t in (Hd, Hs, W_edge, attn))
+    n, d = Hd.shape
+    slope = 0.2
+    edge_t = np.asarray(edge_t, dtype=np.float64)
+    if Hs.shape != (n, d) or W_edge.shape != (1, d) or attn.shape != (d, 1) \
+            or edge_t.shape != (n, n):
+        raise DomainError(f"gatv2_scores shape mismatch: Hd {Hd.shape}, Hs {Hs.shape}, "
+                          f"W_edge {W_edge.shape}, attn {attn.shape}, edge_t {edge_t.shape}")
+    # in-place passes over one scratch buffer: at n ~ 150 each fresh n x n x d
+    # array costs more than the arithmetic done on it
+    act = Hd.data[:, None, :] + Hs.data[None, :, :]
+    buf = edge_t[:, :, None] * W_edge.data[0]
+    act += buf
+    np.multiply(act, slope, out=buf)
+    np.maximum(act, buf, out=act)  # LeakyReLU, as 0 < slope < 1
+    out = (act.reshape(n * n, d) @ attn.data).reshape(n, n)
+
+    def backward(g):
+        # act > 0 exactly where the pre-activation is, so act alone suffices
+        a = attn.data[:, 0]
+        gpre = (act > 0) * ((1.0 - slope) * a)
+        gpre += slope * a
+        gpre *= g[:, :, None]
+        _accumulate(Hd, gpre.sum(axis=1))
+        _accumulate(Hs, gpre.sum(axis=0))
+        _accumulate(W_edge, edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d))
+        _accumulate(attn, (g.reshape(1, n * n) @ act.reshape(n * n, d)).T)
+
+    return _result(out, (Hd, Hs, W_edge, attn), backward)
+
+
+def gru_cell(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h) -> Tensor:
+    """One GRU update: z = sigmoid(x W_z + h U_z + b_z), r likewise,
+    c = tanh(x W_h + (r * h) U_h + b_h), out = (1 - z) * h + z * c."""
+    h, x = _as_tensor(h), _as_tensor(x)
+    weights = tuple(_as_tensor(t) for t in (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h))
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = weights
+    hd, xd = h.data, x.data
+    z = 1.0 / (1.0 + np.exp(-(xd @ W_z.data + hd @ U_z.data + b_z.data)))
+    r = 1.0 / (1.0 + np.exp(-(xd @ W_r.data + hd @ U_r.data + b_r.data)))
+    rh = r * hd
+    c = np.tanh(xd @ W_h.data + rh @ U_h.data + b_h.data)
+    out = (1.0 - z) * hd + z * c
+
+    def backward(g):
+        g_c = g * z * (1.0 - c * c)
+        g_z = g * (c - hd) * z * (1.0 - z)
+        g_rh = g_c @ U_h.data.T
+        g_r = g_rh * hd * r * (1.0 - r)
+        _accumulate(h, g * (1.0 - z) + g_rh * r + g_z @ U_z.data.T + g_r @ U_r.data.T)
+        _accumulate(x, g_z @ W_z.data.T + g_r @ W_r.data.T + g_c @ W_h.data.T)
+        for gate, inp, W, U, b in ((g_z, hd, W_z, U_z, b_z), (g_r, hd, W_r, U_r, b_r),
+                                   (g_c, rh, W_h, U_h, b_h)):
+            _accumulate(W, xd.T @ gate)
+            _accumulate(U, inp.T @ gate)
+            _accumulate(b, gate.sum(axis=0, keepdims=True))
+
+    return _result(out, (h, x) + weights, backward)
+
+
+def pointer_logits(keys, q, v) -> Tensor:
+    """Additive-attention logits as a row: (tanh(keys + q) @ v).T.
+
+    keys is (n, d), the query q is (1, d) and v is (d, 1); the result is (1, n).
+    """
+    keys, q, v = _as_tensor(keys), _as_tensor(q), _as_tensor(v)
+    n, d = keys.shape
+    if q.shape != (1, d) or v.shape != (d, 1):
+        raise DomainError(f"pointer_logits shape mismatch: keys {keys.shape}, "
+                          f"q {q.shape}, v {v.shape}")
+    t = np.tanh(keys.data + q.data)
+
+    def backward(g):
+        gu = (g.T @ v.data.T) * (1.0 - t * t)
+        _accumulate(keys, gu)
+        _accumulate(q, gu.sum(axis=0, keepdims=True))
+        _accumulate(v, t.T @ g.T)
+
+    return _result((t @ v.data).T, (keys, q, v), backward)
 
 
 # ---------------------------------------------------------------------------

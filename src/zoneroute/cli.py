@@ -128,7 +128,7 @@ def cmd_infer(args) -> int:
             tours[route.id] = {"order": [route.stops[i].id for i in res.tour],
                                "length_s": res.length, "log_prob": res.log_prob}
     with open(args.out, "w") as fh:
-        json.dump({"strategy": args.strategy, "tours": tours}, fh, sort_keys=True)
+        fh.write(json.dumps({"strategy": args.strategy, "tours": tours}, sort_keys=True))
     print(f"inferred {len(tours)} tours -> {args.out}")
     return EXIT_OK
 
@@ -146,9 +146,13 @@ def cmd_eval(args) -> int:
         actual = tour_length(route.actual_order, route.travel)
         preds = {}
         index_of = {s.id: i for i, s in enumerate(route.stops)}
-        for strategy, tours in (("general", tours_general), ("zoned", tours_zoned)):
+        for strategy, tours, path in (("general", tours_general, args.tours_general),
+                                      ("zoned", tours_zoned, args.tours_zoned)):
             if route.id not in tours:
                 raise DataError(f"route {route.id}: missing from {strategy} tours file")
+            unknown = [sid for sid in tours[route.id]["order"] if sid not in index_of]
+            if unknown:
+                raise DataError(f"{path}: route {route.id} names unknown stop id {unknown[0]!r}")
             order = [index_of[sid] for sid in tours[route.id]["order"]]
             preds[strategy] = tour_length(order, route.travel)
         rows.append(metrics.RouteRow(route_id=route.id, n_stops=route.n,

@@ -30,6 +30,14 @@ SYNTH_ORIGIN = GeoPoint(33.98, -118.25)
 SYNTH_ZONE_RESOLUTION = 9
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def load_routes(dir_path) -> list[Route]:
     """Parse the three-file layout into Route values with a deterministic
     (sorted stop id) index order."""
@@ -38,14 +46,9 @@ def load_routes(dir_path) -> list[Route]:
     seq_path = os.path.join(dir_path, "actual_sequences.json")
     if not os.path.isfile(route_path) or not os.path.isfile(travel_path):
         raise IOError(f"missing route_data.json or travel_times.json in {dir_path}")
-    with open(route_path) as fh:
-        route_data = json.load(fh)
-    with open(travel_path) as fh:
-        travel_data = json.load(fh)
-    sequences = None
-    if os.path.isfile(seq_path):
-        with open(seq_path) as fh:
-            sequences = json.load(fh)
+    route_data = _read_json(route_path)
+    travel_data = _read_json(travel_path)
+    sequences = _read_json(seq_path) if os.path.isfile(seq_path) else None
 
     routes = []
     for route_id in sorted(route_data):
@@ -120,12 +123,12 @@ def save_routes(routes: list[Route], dir_path) -> None:
             sequences[route.id] = {"actual": {route.stops[idx].id: rank
                                               for rank, idx in enumerate(route.actual_order)}}
     with open(os.path.join(dir_path, "route_data.json"), "w") as fh:
-        json.dump(route_data, fh, sort_keys=True)
+        fh.write(json.dumps(route_data, sort_keys=True))
     with open(os.path.join(dir_path, "travel_times.json"), "w") as fh:
-        json.dump(travel_data, fh, sort_keys=True)
+        fh.write(json.dumps(travel_data, sort_keys=True))
     if sequences:
         with open(os.path.join(dir_path, "actual_sequences.json"), "w") as fh:
-            json.dump(sequences, fh, sort_keys=True)
+            fh.write(json.dumps(sequences, sort_keys=True))
 
 
 @dataclass

@@ -100,6 +100,17 @@ class ModelParams:
     def as_list(self):
         return [self.tensors[n] for n in self.names()]
 
+    @classmethod
+    def from_arrays(cls, cfg: ModelConfig, arrays) -> "ModelParams":
+        """Parameters holding `arrays[name]` for every tensor of the layout."""
+        tensors = {}
+        for name, shape in _param_layout(cfg):
+            data = np.asarray(arrays[name], dtype=np.float64)
+            if data.shape != shape:
+                raise DomainError(f"parameter {name} has shape {data.shape}, expected {shape}")
+            tensors[name] = Tensor(data, requires_grad=True, name=name)
+        return cls(config=cfg, tensors=tensors)
+
     def save(self, path) -> None:
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -110,28 +121,35 @@ class ModelParams:
                 for n in self.names()
             ],
         }
+        # json.dumps runs the C encoder; json.dump would use the pure-Python one
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load(cls, path) -> "ModelParams":
         with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CHECKPOINT_FORMAT:
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"checkpoint {path}: malformed JSON: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"unsupported checkpoint format in {path}")
-        cfg = ModelConfig(hidden_dim=int(payload["config"]["hidden_dim"]),
-                          dropout=float(payload["config"]["dropout"]))
+        try:
+            cfg = ModelConfig(hidden_dim=int(payload["config"]["hidden_dim"]),
+                              dropout=float(payload["config"]["dropout"]))
+            entries = payload["params"]
+            names = [e["name"] for e in entries]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {path}: missing or malformed field {exc}") from exc
         expected = _param_layout(cfg)
-        entries = payload["params"]
-        if [e["name"] for e in entries] != [n for n, _ in expected]:
+        if names != [n for n, _ in expected]:
             raise DataError(f"checkpoint {path}: unexpected parameter set or order")
-        tensors = {}
+        arrays = {}
         for entry, (name, shape) in zip(entries, expected):
             if tuple(entry["shape"]) != shape:
                 raise DataError(f"checkpoint {path}: {name} has shape {entry['shape']}, expected {shape}")
-            data = np.array(entry["values"], dtype=np.float64).reshape(shape)
-            tensors[name] = Tensor(data, requires_grad=True, name=name)
-        return cls(config=cfg, tensors=tensors)
+            arrays[name] = np.array(entry["values"], dtype=np.float64).reshape(shape)
+        return cls.from_arrays(cfg, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +171,7 @@ def gatv2_layer(H: Tensor, edge_w: np.ndarray, params: ModelParams, layer: int) 
 
     Hs = ad.matmul(H, W_src)
     Hd = ad.matmul(H, W_dst)
-
-    idx_i = np.repeat(np.arange(n), n)
-    idx_j = np.tile(np.arange(n), n)
-    pre = ad.add(ad.add(ad.gather_rows(Hd, idx_i), ad.gather_rows(Hs, idx_j)),
-                 ad.mul(Tensor(edge_w[idx_j, idx_i].reshape(-1, 1)), W_edge))
-    scores = ad.reshape(ad.matmul(ad.leaky_relu(pre, 0.2), attn), (n, n))
+    scores = ad.gatv2_scores(Hd, Hs, W_edge, attn, edge_w.T)
     alpha = ad.exp(ad.masked_log_softmax(scores, np.ones((n, n), dtype=bool)))
     return ad.matmul(alpha, Hs)
 
@@ -181,15 +194,8 @@ def encode(g: RouteGraph, params: ModelParams, training: bool = False,
 # decoder
 
 def gru_step(h: Tensor, x: Tensor, params: ModelParams) -> Tensor:
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["gru.W_z"]), ad.matmul(h, params["gru.U_z"])),
-                          params["gru.b_z"]))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["gru.W_r"]), ad.matmul(h, params["gru.U_r"])),
-                          params["gru.b_r"]))
-    h_cand = ad.tanh(ad.add(ad.add(ad.matmul(x, params["gru.W_h"]),
-                                   ad.matmul(ad.mul(r, h), params["gru.U_h"])),
-                            params["gru.b_h"]))
-    one_minus_z = ad.add(ad.scale(z, -1.0), Tensor(np.ones(z.shape)))
-    return ad.add(ad.mul(one_minus_z, h), ad.mul(z, h_cand))
+    return ad.gru_cell(h, x, *(params[f"gru.{kind}_{gate}"]
+                               for gate in ("z", "r", "h") for kind in ("W", "U", "b")))
 
 
 def pointer_keys(E: Tensor, params: ModelParams) -> Tensor:
@@ -207,7 +213,7 @@ def pointer_step(h: Tensor, E: Tensor, visited: np.ndarray, params: ModelParams,
                       params["ptr.ln_q_gain"], params["ptr.ln_q_bias"])
     if keys is None:
         keys = pointer_keys(E, params)
-    logits = ad.transpose(ad.matmul(ad.tanh(ad.add(keys, q)), params["ptr.v"]))
+    logits = ad.pointer_logits(keys, q, params["ptr.v"])
     return ad.masked_log_softmax(logits, ~visited.reshape(1, -1))
 
 
@@ -222,10 +228,34 @@ def _init_state(E: Tensor, params: ModelParams) -> Tensor:
     return ad.tanh(ad.matmul(ad.tmean(E, axis=0), params["dec.W_init"]))
 
 
-def _select_log_prob(logp: Tensor, j: int) -> Tensor:
-    onehot = np.zeros(logp.shape)
-    onehot[0, j] = 1.0
-    return ad.tsum(ad.mul(logp, Tensor(onehot)))
+def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
+                 greedy: bool = True, rng: np.random.Generator | None = None):
+    """The decoder loop.  Each step follows `forced` when a tour is given,
+    else takes the argmax (greedy) or a draw from `rng`.  Returns
+    (tour, summed log-prob Tensor)."""
+    n = E.shape[0]
+    h = _init_state(E, params)
+    keys = pointer_keys(E, params)
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    tour = [start]
+    total = None
+    for step in range(1, n):
+        h = gru_step(h, ad.gather_rows(E, [tour[-1]]), params)
+        logp = pointer_step(h, E, visited, params, keys=keys)
+        if forced is not None:
+            j = forced[step]
+        elif greedy:
+            j = int(np.argmax(logp.data[0]))
+        else:
+            probs = np.exp(logp.data[0])
+            probs = probs / probs.sum()
+            j = int(rng.choice(n, p=probs))
+        term = ad.pick(logp, 0, j)
+        total = term if total is None else ad.add(total, term)
+        visited[j] = True
+        tour.append(j)
+    return tour, (Tensor(0.0) if total is None else total)
 
 
 def decode_tape(E: Tensor, start: int, params: ModelParams, greedy: bool,
@@ -236,33 +266,7 @@ def decode_tape(E: Tensor, start: int, params: ModelParams, greedy: bool,
         raise DomainError(f"start index {start} out of range for {n} nodes")
     if not greedy and rng is None:
         raise DomainError("sampling decode requires an rng")
-    h = _init_state(E, params)
-    keys = pointer_keys(E, params)
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    tour = [start]
-    terms = []
-    last = start
-    for _ in range(n - 1):
-        h = gru_step(h, ad.gather_rows(E, [last]), params)
-        logp = pointer_step(h, E, visited, params, keys=keys)
-        if greedy:
-            j = int(np.argmax(logp.data[0]))
-        else:
-            probs = np.exp(logp.data[0])
-            probs = probs / probs.sum()
-            j = int(rng.choice(n, p=probs))
-        terms.append(_select_log_prob(logp, j))
-        visited[j] = True
-        tour.append(j)
-        last = j
-    if terms:
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-    else:
-        total = Tensor(0.0)
-    return tour, total
+    return _run_decoder(E, start, params, greedy=greedy, rng=rng)
 
 
 def decode(E: Tensor, start: int, travel: np.ndarray, params: ModelParams,
@@ -274,25 +278,9 @@ def decode(E: Tensor, start: int, travel: np.ndarray, params: ModelParams,
 
 def tour_log_prob(E: Tensor, tour, params: ModelParams) -> Tensor:
     """Log-probability Tensor of a fixed tour under the current policy."""
-    n = E.shape[0]
-    if sorted(tour) != list(range(n)):
+    if sorted(tour) != list(range(E.shape[0])):
         raise DomainError("tour is not a permutation of the node indices")
-    h = _init_state(E, params)
-    keys = pointer_keys(E, params)
-    visited = np.zeros(n, dtype=bool)
-    visited[tour[0]] = True
-    terms = []
-    last = tour[0]
-    for j in tour[1:]:
-        h = gru_step(h, ad.gather_rows(E, [last]), params)
-        logp = pointer_step(h, E, visited, params, keys=keys)
-        terms.append(_select_log_prob(logp, j))
-        visited[j] = True
-        last = j
-    total = Tensor(0.0)
-    for t in terms:
-        total = ad.add(total, t)
-    return total
+    return _run_decoder(E, tour[0], params, forced=tour)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,7 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
 
     zms = ZoneModelSet(zoning=zoning)
     for zone, payload, log_rows in sorted(results):
-        params = ModelParams.init(cfg.model_config(), seed=0)
-        for name in params.names():
-            params[name].data[...] = payload[name]
-        zms.models[zone] = params
+        zms.models[zone] = ModelParams.from_arrays(cfg.model_config(), payload)
         zms.logs[zone] = log_rows
     return zms
 

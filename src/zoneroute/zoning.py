@@ -165,7 +165,7 @@ def save_zoning(z: Zoning, path) -> None:
                                         key=lambda kv: (kv[0].q, kv[0].r))},
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_zoning(path) -> Zoning:

@@ -44,6 +44,59 @@ def test_scale_concat_gather_reshape_transpose():
     check(lambda: ad.tsum(ad.transpose(a)), [a])
 
 
+def test_pick_grad_and_value():
+    a = rand((2, 5), 20)
+    assert ad.pick(a, 1, 3).item() == a.data[1, 3]
+    check(lambda: ad.scale(ad.pick(a, 1, 3), 2.0), [a])
+    g = backward(ad.pick(a, 0, 4), [a])[0]
+    expected = np.zeros((2, 5))
+    expected[0, 4] = 1.0
+    assert np.array_equal(g, expected)
+
+
+def test_gatv2_scores_grad():
+    n, d = 4, 3
+    Hd, Hs = rand((n, d), 21), rand((n, d), 22)
+    W_edge, attn = rand((1, d), 23), rand((d, 1), 24)
+    edge_t = make_rng(25).uniform(0, 1, (n, n))
+    weights = Tensor(make_rng(26).standard_normal((n, n)))
+    check(lambda: ad.tsum(ad.mul(ad.gatv2_scores(Hd, Hs, W_edge, attn, edge_t), weights)),
+          [Hd, Hs, W_edge, attn])
+    with pytest.raises(DomainError):
+        ad.gatv2_scores(Hd, Hs, W_edge, attn, edge_t[:3])
+
+
+def test_gru_cell_grad():
+    d = 3
+    h, x = rand((1, d), 27), rand((1, d), 28)
+    ps = [rand((d, d) if k < 2 else (1, d), 30 + 3 * gate + k)
+          for gate in range(3) for k in range(3)]
+    weights = Tensor(make_rng(40).standard_normal((1, d)))
+    check(lambda: ad.tsum(ad.mul(ad.gru_cell(h, x, *ps), weights)), [h, x] + ps)
+
+
+def test_pointer_logits_grad():
+    keys, q, v = rand((5, 3), 41), rand((1, 3), 42), rand((3, 1), 43)
+    weights = Tensor(make_rng(44).standard_normal((1, 5)))
+    out = ad.pointer_logits(keys, q, v)
+    assert out.shape == (1, 5)
+    assert np.allclose(out.data, (np.tanh(keys.data + q.data) @ v.data).T, atol=1e-15)
+    check(lambda: ad.tsum(ad.mul(ad.pointer_logits(keys, q, v), weights)), [keys, q, v])
+    with pytest.raises(DomainError):
+        ad.pointer_logits(keys, v, v)
+
+
+def test_first_gradient_write_is_a_copy():
+    # add passes the same g to both parents; aliasing would let the second
+    # accumulation change the first parent's gradient as well
+    a, b = rand((2, 2), 45), rand((2, 2), 46)
+    s = ad.add(a, b)
+    loss = ad.tsum(ad.add(s, ad.mul(s, a)))
+    ga, gb = backward(loss, [a, b])
+    assert np.allclose(ga, 1.0 + a.data + s.data, atol=1e-12)
+    assert np.allclose(gb, 1.0 + a.data, atol=1e-12)
+
+
 def test_reductions():
     a = rand((4, 3), 9)
     check(lambda: ad.tsum(a), [a])

@@ -135,3 +135,60 @@ def test_numeric_errors_exit_3(workspace, monkeypatch, capsys):
     assert cli.main(["train", "--strategy", "general", "--routes", routes,
                      "--config", train_cfg, "--out", str(tmp_path / "o")]) == 3
     capsys.readouterr()
+
+
+def assert_data_error_naming(path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert err.count("\n") == 1
+
+
+def test_malformed_route_json_exits_2(workspace, capsys):
+    tmp_path, routes, _ = workspace
+    path = os.path.join(routes, "route_data.json")
+    with open(path, "w") as fh:
+        fh.write('{"R0000": {"stops": ')
+    capsys.readouterr()
+    assert cli.main(["zones", "--routes", routes, "--k", "1",
+                     "--out", str(tmp_path / "z.json")]) == 2
+    assert_data_error_naming(path, capsys)
+
+
+def test_unknown_stop_id_in_tours_exits_2(workspace, capsys):
+    tmp_path, routes, train_cfg = workspace
+    zones, gdir = str(tmp_path / "zones.json"), str(tmp_path / "g")
+    tours = str(tmp_path / "tours.json")
+    assert cli.main(["zones", "--routes", routes, "--k", "1", "--out", zones]) == 0
+    assert cli.main(["train", "--strategy", "general", "--routes", routes,
+                     "--config", train_cfg, "--out", gdir]) == 0
+    assert cli.main(["infer", "--strategy", "general", "--routes", routes,
+                     "--ckpt", gdir, "--out", tours]) == 0
+    with open(tours) as fh:
+        payload = json.load(fh)
+    first = sorted(payload["tours"])[0]
+    payload["tours"][first]["order"][-1] = "NO_SUCH_STOP"
+    bad = str(tmp_path / "bad_tours.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", bad, "--zones", zones,
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert_data_error_naming(bad, capsys)
+
+
+def test_checkpoint_without_config_exits_2(workspace, capsys):
+    tmp_path, routes, train_cfg = workspace
+    gdir = str(tmp_path / "g")
+    assert cli.main(["train", "--strategy", "general", "--routes", routes,
+                     "--config", train_cfg, "--out", gdir]) == 0
+    ckpt = os.path.join(gdir, "general.ckpt.json")
+    with open(ckpt) as fh:
+        payload = json.load(fh)
+    del payload["config"]
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert cli.main(["infer", "--strategy", "general", "--routes", routes,
+                     "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
+    assert_data_error_naming(ckpt, capsys)

@@ -57,6 +57,12 @@ def test_param_save_load_roundtrip(tmp_path):
     assert back.config == params.config
     for n in params.names():
         assert np.array_equal(back[n].data, params[n].data)
+    arrays = {n: params[n].data for n in params.names()}
+    rebuilt = ModelParams.from_arrays(CFG8, arrays)
+    assert all(np.array_equal(rebuilt[n].data, params[n].data) for n in params.names())
+    arrays["ptr.v"] = arrays["ptr.v"].T
+    with pytest.raises(DomainError):
+        ModelParams.from_arrays(CFG8, arrays)
 
 
 # --- GATv2 ---------------------------------------------------------------------
@@ -88,6 +94,56 @@ def test_gatv2_matches_independent_recomputation():
         alpha /= alpha.sum()
         expected[i] = alpha @ Hs
     assert np.allclose(out.data, expected, atol=1e-12)
+
+
+def _gatv2_by_gathers(H, edge_w, params, layer):
+    """The generic-primitive GATv2 layer: n^2 gathered rows per side."""
+    n = H.shape[0]
+    Hs = ad.matmul(H, params[f"gat{layer}.W_src"])
+    Hd = ad.matmul(H, params[f"gat{layer}.W_dst"])
+    idx_i, idx_j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    pre = ad.add(ad.add(ad.gather_rows(Hd, idx_i), ad.gather_rows(Hs, idx_j)),
+                 ad.mul(Tensor(edge_w[idx_j, idx_i].reshape(-1, 1)), params[f"gat{layer}.W_edge"]))
+    scores = ad.reshape(ad.matmul(ad.leaky_relu(pre, 0.2), params[f"gat{layer}.attn"]), (n, n))
+    alpha = ad.exp(ad.masked_log_softmax(scores, np.ones((n, n), dtype=bool)))
+    return ad.matmul(alpha, Hs)
+
+
+def _gru_by_primitives(h, x, params):
+    def gate(g, hh):
+        return ad.add(ad.add(ad.matmul(x, params[f"gru.W_{g}"]), ad.matmul(hh, params[f"gru.U_{g}"])),
+                      params[f"gru.b_{g}"])
+    z = ad.sigmoid(gate("z", h))
+    r = ad.sigmoid(gate("r", h))
+    h_cand = ad.tanh(gate("h", ad.mul(r, h)))
+    one_minus_z = ad.add(ad.scale(z, -1.0), Tensor(np.ones(z.shape)))
+    return ad.add(ad.mul(one_minus_z, h), ad.mul(z, h_cand))
+
+
+def _assert_same_values_and_grads(fused, generic, inputs, params):
+    ps = inputs + params.as_list()
+    out_f, out_g = fused(), generic()
+    assert np.allclose(out_f.data, out_g.data, rtol=0, atol=1e-12)
+    w = Tensor(make_rng(99).standard_normal(out_f.shape))
+    grads_f = ad.backward(ad.tsum(ad.mul(fused(), w)), ps)
+    grads_g = ad.backward(ad.tsum(ad.mul(generic(), w)), ps)
+    for gf, gg in zip(grads_f, grads_g):
+        assert np.allclose(gf, gg, rtol=0, atol=1e-12)
+
+
+def test_fused_layers_match_generic_composition():
+    n, d = 7, 8
+    params = ModelParams.init(CFG8, seed=21)
+    rng = make_rng(22)
+    H = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    edge_w = rng.uniform(0, 1, size=(n, n))
+    np.fill_diagonal(edge_w, 0.0)
+    _assert_same_values_and_grads(lambda: gatv2_layer(H, edge_w, params, 2),
+                                  lambda: _gatv2_by_gathers(H, edge_w, params, 2), [H], params)
+    h = Tensor(rng.standard_normal((1, d)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, d)), requires_grad=True)
+    _assert_same_values_and_grads(lambda: gru_step(h, x, params),
+                                  lambda: _gru_by_primitives(h, x, params), [h, x], params)
 
 
 def test_encoder_permutation_equivariance():
