@@ -61,10 +61,34 @@ def _parse_config_file(path, cls):
 
 def _load_tours(path) -> dict:
     with open(path) as fh:
-        payload = json.load(fh)
-    if "tours" not in payload:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"tours file {path}: malformed JSON: {exc}") from exc
+    tours = payload.get("tours") if isinstance(payload, dict) else None
+    if not isinstance(tours, dict):
         raise DataError(f"malformed tours file {path}")
-    return payload["tours"]
+    return tours
+
+
+def _tour_indices(tours: dict, path, route) -> list[int]:
+    """Stop indices of `route`'s tour in a tours file; the entry must be a
+    dict whose `order` is a permutation of the route's stop ids."""
+    if route.id not in tours:
+        raise DataError(f"{path}: route {route.id} is missing")
+    entry = tours[route.id]
+    order = entry.get("order") if isinstance(entry, dict) else None
+    if not isinstance(order, list):
+        raise DataError(f"{path}: route {route.id} has no 'order' list")
+    index_of = {s.id: i for i, s in enumerate(route.stops)}
+    unknown = [sid for sid in order if not isinstance(sid, str) or sid not in index_of]
+    if unknown:
+        raise DataError(f"{path}: route {route.id} names unknown stop id {unknown[0]!r}")
+    indices = [index_of[sid] for sid in order]
+    if sorted(indices) != list(range(route.n)):
+        raise DataError(f"{path}: route {route.id} order is not a permutation "
+                        f"of its {route.n} stops")
+    return indices
 
 
 def _grid_spec_for(routes, zones_path):
@@ -144,17 +168,9 @@ def cmd_eval(args) -> int:
         if route.actual_order is None:
             raise DataError(f"route {route.id}: no ground-truth sequence for evaluation")
         actual = tour_length(route.actual_order, route.travel)
-        preds = {}
-        index_of = {s.id: i for i, s in enumerate(route.stops)}
-        for strategy, tours, path in (("general", tours_general, args.tours_general),
-                                      ("zoned", tours_zoned, args.tours_zoned)):
-            if route.id not in tours:
-                raise DataError(f"route {route.id}: missing from {strategy} tours file")
-            unknown = [sid for sid in tours[route.id]["order"] if sid not in index_of]
-            if unknown:
-                raise DataError(f"{path}: route {route.id} names unknown stop id {unknown[0]!r}")
-            order = [index_of[sid] for sid in tours[route.id]["order"]]
-            preds[strategy] = tour_length(order, route.travel)
+        preds = {strategy: tour_length(_tour_indices(tours, path, route), route.travel)
+                 for strategy, tours, path in (("general", tours_general, args.tours_general),
+                                               ("zoned", tours_zoned, args.tours_zoned))}
         rows.append(metrics.RouteRow(route_id=route.id, n_stops=route.n,
                                      clusters_visited=clusters_visited(route, zoning),
                                      actual_s=actual,
@@ -211,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("general", "zoned"), required=True)
     p.add_argument("--routes", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--zones")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 

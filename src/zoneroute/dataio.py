@@ -22,10 +22,6 @@ from .errors import DataError, DomainError
 from .hexgrid import GeoPoint, GridSpec, cell_of, format_cell_id, unproject, ProjectedPoint
 from .routegraph import Route, Stop
 
-# fold sizes of the real Los Angeles dataset this layout is compatible with
-LA_TRAIN_ROUTES = 2888
-LA_TEST_ROUTES = 1626
-
 SYNTH_ORIGIN = GeoPoint(33.98, -118.25)
 SYNTH_ZONE_RESOLUTION = 9
 

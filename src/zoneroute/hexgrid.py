@@ -71,6 +71,19 @@ class GridSpec:
         if not 0 <= self.ref_resolution <= MAX_RESOLUTION:
             raise DomainError(f"ref_resolution {self.ref_resolution} out of range")
 
+    def to_dict(self) -> dict:
+        """The grid block of `grid.json` and `zones.json`, in file key order."""
+        return {"origin_lat": self.origin.lat, "origin_lng": self.origin.lng,
+                "ref_resolution": self.ref_resolution, "ref_edge_m": self.ref_edge_m}
+
+    @classmethod
+    def from_dict(cls, grid) -> "GridSpec":
+        """Inverse of `to_dict`; a missing key or a value of the wrong type
+        raises KeyError, TypeError or ValueError."""
+        return cls(origin=GeoPoint(float(grid["origin_lat"]), float(grid["origin_lng"])),
+                   ref_resolution=int(grid["ref_resolution"]),
+                   ref_edge_m=float(grid["ref_edge_m"]))
+
     def edge_m(self, resolution: int) -> float:
         if not 0 <= resolution <= MAX_RESOLUTION:
             raise DomainError(f"resolution {resolution} out of range")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -215,6 +215,9 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
 
     results = []
     if jobs > 1:
+        # imported here: the CLI stages that never train zones skip loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_train_zone_worker, tasks))
     else:
@@ -296,30 +299,12 @@ ZONES_SUBDIR = "zones"
 ZONES_FILE = "zones.json"
 
 
-def _save_grid(spec: GridSpec, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump({"origin_lat": spec.origin.lat, "origin_lng": spec.origin.lng,
-                   "ref_resolution": spec.ref_resolution,
-                   "ref_edge_m": spec.ref_edge_m}, fh)
-
-
-def _load_grid(path) -> GridSpec:
-    import json
-
-    with open(path) as fh:
-        grid = json.load(fh)
-    return GridSpec(origin=GeoPoint(grid["origin_lat"], grid["origin_lng"]),
-                    ref_resolution=int(grid["ref_resolution"]),
-                    ref_edge_m=float(grid["ref_edge_m"]))
-
-
 def save_general(params: ModelParams, log_rows, ckpt_dir, spec: GridSpec) -> None:
     os.makedirs(ckpt_dir, exist_ok=True)
     params.save(os.path.join(ckpt_dir, GENERAL_CKPT))
     write_log_csv(log_rows, os.path.join(ckpt_dir, GENERAL_LOG))
-    _save_grid(spec, os.path.join(ckpt_dir, GENERAL_GRID))
+    with open(os.path.join(ckpt_dir, GENERAL_GRID), "w") as fh:
+        fh.write(json.dumps(spec.to_dict()))
 
 
 def load_general(ckpt_dir):
@@ -327,7 +312,13 @@ def load_general(ckpt_dir):
     path = os.path.join(ckpt_dir, GENERAL_CKPT)
     if not os.path.isfile(path):
         raise DataError(f"no general checkpoint at {path}")
-    return ModelParams.load(path), _load_grid(os.path.join(ckpt_dir, GENERAL_GRID))
+    grid_path = os.path.join(ckpt_dir, GENERAL_GRID)
+    try:
+        with open(grid_path) as fh:
+            spec = GridSpec.from_dict(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed grid file {grid_path}: {exc}") from exc
+    return ModelParams.load(path), spec
 
 
 def save_zoned(zms: ZoneModelSet, ckpt_dir) -> None:

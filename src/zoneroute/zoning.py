@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .errors import DataError, DomainError
-from .hexgrid import (GeoPoint, GridSpec, HexCellId, cell_of, centroid,
+from .hexgrid import (GridSpec, HexCellId, cell_of, centroid,
                       format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
 
@@ -150,12 +150,7 @@ def zone_sizes(z: Zoning) -> list[int]:
 
 def save_zoning(z: Zoning, path) -> None:
     payload = {
-        "grid": {
-            "origin_lat": z.spec.origin.lat,
-            "origin_lng": z.spec.origin.lng,
-            "ref_resolution": z.spec.ref_resolution,
-            "ref_edge_m": z.spec.ref_edge_m,
-        },
+        "grid": z.spec.to_dict(),
         "resolution": z.resolution,
         "k": z.k,
         "seed": z.seed,
@@ -172,10 +167,7 @@ def load_zoning(path) -> Zoning:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        grid = payload["grid"]
-        spec = GridSpec(origin=GeoPoint(grid["origin_lat"], grid["origin_lng"]),
-                        ref_resolution=int(grid["ref_resolution"]),
-                        ref_edge_m=float(grid["ref_edge_m"]))
+        spec = GridSpec.from_dict(payload["grid"])
         cells = {parse_cell_id(cid): int(zone) for cid, zone in payload["cells"].items()}
         return Zoning(spec=spec, resolution=int(payload["resolution"]),
                       k=int(payload["k"]), seed=int(payload["seed"]),

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import zoneroute
 from zoneroute import cli
 from zoneroute.errors import NumericError
 
@@ -154,7 +157,9 @@ def test_malformed_route_json_exits_2(workspace, capsys):
     assert_data_error_naming(path, capsys)
 
 
-def test_unknown_stop_id_in_tours_exits_2(workspace, capsys):
+@pytest.fixture
+def general_run(workspace):
+    """A general checkpoint and its tours over the workspace routes, plus zones."""
     tmp_path, routes, train_cfg = workspace
     zones, gdir = str(tmp_path / "zones.json"), str(tmp_path / "g")
     tours = str(tmp_path / "tours.json")
@@ -163,11 +168,23 @@ def test_unknown_stop_id_in_tours_exits_2(workspace, capsys):
                      "--config", train_cfg, "--out", gdir]) == 0
     assert cli.main(["infer", "--strategy", "general", "--routes", routes,
                      "--ckpt", gdir, "--out", tours]) == 0
+    return tmp_path, routes, zones, gdir, tours
+
+
+def rewrite_json(path, mutate):
+    with open(path) as fh:
+        payload = json.load(fh)
+    mutate(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def eval_with_bad_tours(general_run, mutate_entry, capsys):
+    tmp_path, routes, zones, _, tours = general_run
+    bad = str(tmp_path / "bad_tours.json")
     with open(tours) as fh:
         payload = json.load(fh)
-    first = sorted(payload["tours"])[0]
-    payload["tours"][first]["order"][-1] = "NO_SUCH_STOP"
-    bad = str(tmp_path / "bad_tours.json")
+    mutate_entry(payload["tours"][sorted(payload["tours"])[0]])
     with open(bad, "w") as fh:
         json.dump(payload, fh)
     capsys.readouterr()
@@ -177,18 +194,74 @@ def test_unknown_stop_id_in_tours_exits_2(workspace, capsys):
     assert_data_error_naming(bad, capsys)
 
 
-def test_checkpoint_without_config_exits_2(workspace, capsys):
-    tmp_path, routes, train_cfg = workspace
-    gdir = str(tmp_path / "g")
-    assert cli.main(["train", "--strategy", "general", "--routes", routes,
-                     "--config", train_cfg, "--out", gdir]) == 0
+def test_unknown_stop_id_in_tours_exits_2(general_run, capsys):
+    eval_with_bad_tours(
+        general_run, lambda entry: entry.update(order=entry["order"][:-1] + ["NO_SUCH_STOP"]),
+        capsys)
+
+
+@pytest.mark.parametrize("mutate_entry", [
+    lambda entry: entry.pop("order"),
+    lambda entry: entry["order"].pop(),
+    lambda entry: entry.update(order=entry["order"][:-1] + entry["order"][:1]),
+], ids=["missing-order", "dropped-stop", "duplicated-stop"])
+def test_tour_that_is_not_a_permutation_exits_2(general_run, mutate_entry, capsys):
+    eval_with_bad_tours(general_run, mutate_entry, capsys)
+
+
+def test_checkpoint_without_config_exits_2(general_run, capsys):
+    tmp_path, routes, _, gdir, _ = general_run
     ckpt = os.path.join(gdir, "general.ckpt.json")
-    with open(ckpt) as fh:
-        payload = json.load(fh)
-    del payload["config"]
-    with open(ckpt, "w") as fh:
-        json.dump(payload, fh)
+    rewrite_json(ckpt, lambda payload: payload.pop("config"))
     capsys.readouterr()
     assert cli.main(["infer", "--strategy", "general", "--routes", routes,
                      "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
     assert_data_error_naming(ckpt, capsys)
+
+
+@pytest.mark.parametrize("keys, edit", [
+    (["format"], lambda old: 1),
+    (["params", 0, "data"], lambda old: "!" + old[1:]),
+    (["params", 3, "data"], lambda old: old[:-4]),
+    (["params", 1, "shape"], lambda old: old[::-1]),
+    (["params", 2, "shape"], None),
+    (["params", 2, "data"], None),
+], ids=["format-1", "bad-base64", "truncated-data", "wrong-shape", "no-shape", "no-data"])
+def test_malformed_checkpoint_exits_2(general_run, keys, edit, capsys):
+    tmp_path, routes, _, gdir, _ = general_run
+    ckpt = os.path.join(gdir, "general.ckpt.json")
+
+    def mutate(payload):
+        *parents, last = keys
+        for key in parents:
+            payload = payload[key]
+        if edit is None:
+            del payload[last]
+        else:
+            payload[last] = edit(payload[last])
+
+    rewrite_json(ckpt, mutate)
+    capsys.readouterr()
+    assert cli.main(["infer", "--strategy", "general", "--routes", routes,
+                     "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
+    assert_data_error_naming(ckpt, capsys)
+
+
+def test_grid_file_missing_key_exits_2(general_run, capsys):
+    tmp_path, routes, _, gdir, _ = general_run
+    grid = os.path.join(gdir, "grid.json")
+    rewrite_json(grid, lambda payload: payload.pop("ref_edge_m"))
+    capsys.readouterr()
+    assert cli.main(["infer", "--strategy", "general", "--routes", routes,
+                     "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
+    assert_data_error_naming(grid, capsys)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(zoneroute.__file__))
+    code = ("import sys, zoneroute.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

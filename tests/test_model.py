@@ -1,3 +1,6 @@
+import base64
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from zoneroute.model import (
     tour_log_prob,
 )
 from zoneroute.routegraph import RouteGraph, build_graph
-from zoneroute import dataio, pipeline
+from zoneroute import dataio, model, pipeline
 
 CFG8 = ModelConfig(hidden_dim=8, dropout=0.0)
 
@@ -51,18 +54,44 @@ def test_param_shapes_and_layout():
 
 def test_param_save_load_roundtrip(tmp_path):
     params = ModelParams.init(CFG8, seed=3)
+    big = np.finfo(float).max
+    # values a decimal round trip can get wrong; array_equal treats -0.0 as 0.0
+    params["zone_embed"].data[0, :4] = [-0.0, 5e-324, big, -big]
     path = tmp_path / "m.json"
     params.save(path)
     back = ModelParams.load(path)
     assert back.config == params.config
     for n in params.names():
-        assert np.array_equal(back[n].data, params[n].data)
+        assert back[n].data.tobytes() == params[n].data.tobytes()
+        assert back[n].data.flags.writeable
+    assert np.signbit(back["zone_embed"].data[0, 0])
     arrays = {n: params[n].data for n in params.names()}
     rebuilt = ModelParams.from_arrays(CFG8, arrays)
     assert all(np.array_equal(rebuilt[n].data, params[n].data) for n in params.names())
     arrays["ptr.v"] = arrays["ptr.v"].T
     with pytest.raises(DomainError):
         ModelParams.from_arrays(CFG8, arrays)
+
+
+def test_param_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    ModelParams.init(CFG8, seed=3).save(path)
+    before = path.read_bytes()
+    encode = base64.b64encode
+    calls = []
+
+    def failing_encode(raw):
+        calls.append(len(raw))
+        if len(calls) == 5:
+            raise RuntimeError("encoder failed")
+        return encode(raw)
+
+    monkeypatch.setattr(model.base64, "b64encode", failing_encode)
+    with pytest.raises(RuntimeError):
+        ModelParams.init(CFG8, seed=4).save(path)
+    assert len(calls) == 5
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 # --- GATv2 ---------------------------------------------------------------------
