@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import os
 import sys
 
@@ -59,35 +59,20 @@ def _parse_config_file(path, cls):
     return cls(**values)
 
 
-def _load_tours(path) -> dict:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"tours file {path}: malformed JSON: {exc}") from exc
-    tours = payload.get("tours") if isinstance(payload, dict) else None
-    if not isinstance(tours, dict):
-        raise DataError(f"malformed tours file {path}")
-    return tours
+def _tours_of(payload) -> dict:
+    if not isinstance(payload["tours"], dict):
+        raise TypeError("'tours' is not an object")
+    return payload["tours"]
 
 
 def _tour_indices(tours: dict, path, route) -> list[int]:
     """Stop indices of `route`'s tour in a tours file; the entry must be a
     dict whose `order` is a permutation of the route's stop ids."""
-    if route.id not in tours:
-        raise DataError(f"{path}: route {route.id} is missing")
-    entry = tours[route.id]
-    order = entry.get("order") if isinstance(entry, dict) else None
-    if not isinstance(order, list):
-        raise DataError(f"{path}: route {route.id} has no 'order' list")
     index_of = {s.id: i for i, s in enumerate(route.stops)}
-    unknown = [sid for sid in order if not isinstance(sid, str) or sid not in index_of]
-    if unknown:
-        raise DataError(f"{path}: route {route.id} names unknown stop id {unknown[0]!r}")
-    indices = [index_of[sid] for sid in order]
-    if sorted(indices) != list(range(route.n)):
-        raise DataError(f"{path}: route {route.id} order is not a permutation "
-                        f"of its {route.n} stops")
+    with dataio.data_errors(f"{path}: route {route.id}"):
+        indices = [index_of[sid] for sid in tours[route.id]["order"]]
+        if sorted(indices) != list(range(route.n)):
+            raise ValueError(f"order is not a permutation of its {route.n} stops")
     return indices
 
 
@@ -138,21 +123,17 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     routes = dataio.load_routes(args.routes)
-    tours = {}
     if args.strategy == "general":
         params, spec = pipeline.load_general(args.ckpt)
-        for route in routes:
-            res = pipeline.infer_general(route, params, spec)
-            tours[route.id] = {"order": [route.stops[i].id for i in res.tour],
-                               "length_s": res.length, "log_prob": res.log_prob}
+        infer = functools.partial(pipeline.infer_general, params=params, spec=spec)
     else:
-        zms = pipeline.load_zoned(args.ckpt)
-        for route in routes:
-            res = pipeline.infer_zoned(route, zms)
-            tours[route.id] = {"order": [route.stops[i].id for i in res.tour],
-                               "length_s": res.length, "log_prob": res.log_prob}
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps({"strategy": args.strategy, "tours": tours}, sort_keys=True))
+        infer = functools.partial(pipeline.infer_zoned, zms=pipeline.load_zoned(args.ckpt))
+    tours = {}
+    for route in routes:
+        res = infer(route)
+        tours[route.id] = {"order": [route.stops[i].id for i in res.tour],
+                           "length_s": res.length, "log_prob": res.log_prob}
+    dataio.write_json(args.out, {"strategy": args.strategy, "tours": tours}, sort_keys=True)
     print(f"inferred {len(tours)} tours -> {args.out}")
     return EXIT_OK
 
@@ -160,8 +141,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     routes = dataio.load_routes(args.routes)
     zoning = load_zoning(args.zones)
-    tours_general = _load_tours(args.tours_general)
-    tours_zoned = _load_tours(args.tours_zoned)
+    tours_general = dataio.read_json(args.tours_general, _tours_of)
+    tours_zoned = dataio.read_json(args.tours_zoned, _tours_of)
 
     rows = []
     for route in routes:

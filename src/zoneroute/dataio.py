@@ -1,5 +1,5 @@
 """Route loading (challenge-style three-file layout), synthetic generation,
-and fold splitting.
+fold splitting, and the one JSON read/write path every zoneroute file uses.
 
 The on-disk layout mirrors the public last-mile challenge data so that real
 files drop in unchanged: route_data.json (stops with coordinates, zone ids,
@@ -9,6 +9,7 @@ optionally actual_sequences.json (ground-truth visiting order).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -26,76 +27,116 @@ SYNTH_ORIGIN = GeoPoint(33.98, -118.25)
 SYNTH_ZONE_RESOLUTION = 9
 
 
-def _read_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"malformed JSON in {path}: {exc}") from exc
+@contextlib.contextmanager
+def data_errors(name):
+    """Turn a LookupError, TypeError, AttributeError, ValueError or
+    OverflowError (`int` of a JSON `Infinity`) met while interpreting the
+    content of `name` (a file, or a part of one) into one DataError whose
+    message starts with `name`.  DataError and DomainError are ValueErrors, so
+    nested blocks prefix their names; NumericError and OSError pass through
+    unchanged."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        detail = f"key {exc} not found" if isinstance(exc, KeyError) else exc
+        raise DataError(f"{name}: {detail}") from exc
+
+
+def read_json(path, parse=None):
+    """The JSON value in `path`, passed through `parse` when given; malformed
+    JSON, or a fault `parse` meets in the content, is one DataError naming
+    `path`."""
+    with open(path) as fh, data_errors(path):
+        payload = json.load(fh)
+        return payload if parse is None else parse(payload)
+
+
+def write_json(path, payload, **dumps_kwargs) -> None:
+    """Write `payload` as JSON to a temp file beside `path`, then rename it
+    over `path`, so an interrupted write leaves the previous file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            # json.dumps runs the C encoder; json.dump would use the pure-Python one
+            fh.write(json.dumps(payload, **dumps_kwargs))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_routes(dir_path) -> list[Route]:
     """Parse the three-file layout into Route values with a deterministic
-    (sorted stop id) index order."""
+    (sorted stop id) index order.  A fault in a route's content is one
+    DataError naming the directory and the route id."""
     route_path = os.path.join(dir_path, "route_data.json")
     travel_path = os.path.join(dir_path, "travel_times.json")
     seq_path = os.path.join(dir_path, "actual_sequences.json")
     if not os.path.isfile(route_path) or not os.path.isfile(travel_path):
         raise IOError(f"missing route_data.json or travel_times.json in {dir_path}")
-    route_data = _read_json(route_path)
-    travel_data = _read_json(travel_path)
-    sequences = _read_json(seq_path) if os.path.isfile(seq_path) else None
+    route_data = read_json(route_path)
+    travel_data = read_json(travel_path)
+    sequences = read_json(seq_path) if os.path.isfile(seq_path) else None
 
     routes = []
-    for route_id in sorted(route_data):
-        entry = route_data[route_id]
-        stops_raw = entry.get("stops")
-        if not stops_raw:
-            raise DataError(f"route {route_id}: no stops")
-        stop_ids = sorted(stops_raw)
-        stations = [sid for sid in stop_ids if stops_raw[sid].get("type") == "Station"]
-        if len(stations) != 1:
-            raise DataError(f"route {route_id}: expected exactly one Station stop, got {len(stations)}")
-        stops = []
-        for sid in stop_ids:
-            raw = stops_raw[sid]
-            try:
-                geo = GeoPoint(float(raw["lat"]), float(raw["lng"]))
-            except (KeyError, TypeError, DomainError) as exc:
-                raise DataError(f"route {route_id}: bad coordinates for stop {sid}: {exc}") from exc
-            stops.append(Stop(id=sid, geo=geo, zone_label=raw.get("zone_id"),
-                              is_start=(sid == stations[0])))
-
-        matrix_raw = travel_data.get(route_id)
-        if matrix_raw is None:
-            raise DataError(f"route {route_id}: no travel_times entry")
-        n = len(stop_ids)
-        travel = np.zeros((n, n))
-        for i, a in enumerate(stop_ids):
-            row = matrix_raw.get(a)
-            if row is None:
-                raise DataError(f"route {route_id}: missing travel_times row for stop {a}")
-            for j, b in enumerate(stop_ids):
-                if i == j:
-                    continue
-                if b not in row:
-                    raise DataError(f"route {route_id}: missing travel time {a} -> {b}")
-                travel[i, j] = float(row[b])
-
-        actual_order = None
-        if sequences is not None and route_id in sequences:
-            order_map = sequences[route_id].get("actual", {})
-            if sorted(order_map) != stop_ids:
-                raise DataError(f"route {route_id}: actual sequence stop set mismatch")
-            ranks = [int(order_map[sid]) for sid in stop_ids]
-            if sorted(ranks) != list(range(n)):
-                raise DataError(f"route {route_id}: duplicate or gapped sequence order")
-            actual_order = [0] * n
-            for idx, rank in enumerate(ranks):
-                actual_order[rank] = idx
-
-        routes.append(Route(id=route_id, stops=stops, travel=travel, actual_order=actual_order))
+    with data_errors(dir_path):
+        for route_id in sorted(route_data):
+            with data_errors(f"route {route_id}"):
+                stops, travel, actual_order = _parse_route(route_id, route_data[route_id],
+                                                           travel_data, sequences)
+            # Route checks its own fields, naming the route
+            routes.append(Route(id=route_id, stops=stops, travel=travel,
+                                actual_order=actual_order))
     return routes
+
+
+def _parse_route(route_id, entry, travel_data, sequences):
+    """(stops, travel matrix, actual order or None) of one route's entries."""
+    stops_raw = entry.get("stops")
+    if not stops_raw:
+        raise DataError("no stops")
+    stop_ids = sorted(stops_raw)
+    stations = [sid for sid in stop_ids if stops_raw[sid].get("type") == "Station"]
+    if len(stations) != 1:
+        raise DataError(f"expected exactly one Station stop, got {len(stations)}")
+    stops = []
+    for sid in stop_ids:
+        raw = stops_raw[sid]
+        with data_errors(f"stop {sid}"):
+            geo = GeoPoint(float(raw["lat"]), float(raw["lng"]))
+        stops.append(Stop(id=sid, geo=geo, zone_label=raw.get("zone_id"),
+                          is_start=(sid == stations[0])))
+
+    matrix_raw = travel_data.get(route_id)
+    if matrix_raw is None:
+        raise DataError("no travel_times entry")
+    n = len(stop_ids)
+    travel = np.zeros((n, n))
+    for i, a in enumerate(stop_ids):
+        row = matrix_raw.get(a)
+        if row is None:
+            raise DataError(f"missing travel_times row for stop {a}")
+        for j, b in enumerate(stop_ids):
+            if i == j:
+                continue
+            if b not in row:
+                raise DataError(f"missing travel time {a} -> {b}")
+            travel[i, j] = float(row[b])
+
+    actual_order = None
+    if sequences is not None and route_id in sequences:
+        order_map = sequences[route_id].get("actual", {})
+        if sorted(order_map) != stop_ids:
+            raise DataError("actual sequence stop set mismatch")
+        ranks = [int(order_map[sid]) for sid in stop_ids]
+        if sorted(ranks) != list(range(n)):
+            raise DataError("duplicate or gapped sequence order")
+        actual_order = [0] * n
+        for idx, rank in enumerate(ranks):
+            actual_order[rank] = idx
+
+    return stops, travel, actual_order
 
 
 def save_routes(routes: list[Route], dir_path) -> None:
@@ -118,13 +159,10 @@ def save_routes(routes: list[Route], dir_path) -> None:
         if route.actual_order is not None:
             sequences[route.id] = {"actual": {route.stops[idx].id: rank
                                               for rank, idx in enumerate(route.actual_order)}}
-    with open(os.path.join(dir_path, "route_data.json"), "w") as fh:
-        fh.write(json.dumps(route_data, sort_keys=True))
-    with open(os.path.join(dir_path, "travel_times.json"), "w") as fh:
-        fh.write(json.dumps(travel_data, sort_keys=True))
+    write_json(os.path.join(dir_path, "route_data.json"), route_data, sort_keys=True)
+    write_json(os.path.join(dir_path, "travel_times.json"), travel_data, sort_keys=True)
     if sequences:
-        with open(os.path.join(dir_path, "actual_sequences.json"), "w") as fh:
-            fh.write(json.dumps(sequences, sort_keys=True))
+        write_json(os.path.join(dir_path, "actual_sequences.json"), sequences, sort_keys=True)
 
 
 @dataclass

@@ -4,12 +4,12 @@ groupings by clusters visited and by stop count, with JSON/CSV reports."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .dataio import read_json, write_json
+from .errors import DomainError
 
 QUANTILES = (0.25, 0.5, 0.75, 0.9)
 CLUSTER_BINS = ("1", "2", "3", "4+")
@@ -139,16 +139,17 @@ def build_report(rows: list[RouteRow]) -> dict:
 
 
 def save_report_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
+    write_json(path, report, indent=1)
+
+
+def _checked_report(report) -> dict:
+    if "rows" not in report or "aggregates" not in report:
+        raise ValueError("expected 'rows' and 'aggregates'")
+    return report
 
 
 def load_report_json(path) -> dict:
-    with open(path) as fh:
-        report = json.load(fh)
-    if "rows" not in report or "aggregates" not in report:
-        raise DataError(f"malformed report file {path}")
-    return report
+    return read_json(path, _checked_report)
 
 
 def save_report_csv(rows: list[RouteRow], path) -> None:

@@ -12,17 +12,15 @@ Training uses REINFORCE with a moving-average baseline.
 from __future__ import annotations
 
 import base64
-import contextlib
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, DomainError
+from .dataio import read_json, write_json
+from .errors import DomainError
 from .routegraph import N_FEATURES, ZONE_LABEL_BUCKETS, RouteGraph, tour_length
 
 ZONE_EMBED_DIM = 16
@@ -118,61 +116,44 @@ class ModelParams:
     def save(self, path) -> None:
         """Write a format-2 checkpoint: one JSON object whose `params` entries
         hold each tensor as base64 of its little-endian float64 C-order bytes,
-        so a load gives back the same bits.  The file is written to a temp
-        file beside `path` and renamed over it, so an interrupted save leaves
-        the previous checkpoint as it was."""
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                # json.dumps runs the C encoder; json.dump would use the pure-Python one
-                fh.write(json.dumps({
-                    "format": CHECKPOINT_FORMAT,
-                    "config": {"hidden_dim": self.config.hidden_dim,
-                               "dropout": self.config.dropout},
-                    "params": [
-                        {"name": n, "shape": list(self.tensors[n].shape),
-                         "data": base64.b64encode(np.ascontiguousarray(
-                             self.tensors[n].data, dtype="<f8").tobytes()).decode("ascii")}
-                        for n in self.names()
-                    ],
-                }))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        so a load gives back the same bits."""
+        write_json(path, {
+            "format": CHECKPOINT_FORMAT,
+            "config": {"hidden_dim": self.config.hidden_dim,
+                       "dropout": self.config.dropout},
+            "params": [
+                {"name": n, "shape": list(self.tensors[n].shape),
+                 "data": base64.b64encode(np.ascontiguousarray(
+                     self.tensors[n].data, dtype="<f8").tobytes()).decode("ascii")}
+                for n in self.names()
+            ],
+        })
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"checkpoint {path}: malformed JSON: {exc}") from exc
-        try:
-            if payload["format"] != CHECKPOINT_FORMAT:
-                raise ValueError(f"unsupported format {payload['format']!r}, "
-                                 f"expected {CHECKPOINT_FORMAT}")
-            cfg = ModelConfig(hidden_dim=int(payload["config"]["hidden_dim"]),
-                              dropout=float(payload["config"]["dropout"]))
-            entries = payload["params"]
-            layout = _param_layout(cfg)
-            if [e["name"] for e in entries] != [n for n, _ in layout]:
-                raise ValueError("unexpected parameter set or order")
-            arrays = {}
-            for entry, (name, shape) in zip(entries, layout):
-                if tuple(entry["shape"]) != shape:
-                    raise ValueError(f"{name} has shape {entry['shape']}, expected {list(shape)}")
-                raw = base64.b64decode(entry["data"], validate=True)
-                nbytes = 8 * math.prod(shape)
-                if len(raw) != nbytes:
-                    raise ValueError(f"{name} holds {len(raw)} bytes, expected {nbytes}")
-                # frombuffer views the immutable bytes; parameters must be writable
-                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        except KeyError as exc:
-            raise DataError(f"checkpoint {path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"checkpoint {path}: {exc}") from exc
+        return read_json(path, cls._from_payload)
+
+    @classmethod
+    def _from_payload(cls, payload) -> "ModelParams":
+        if payload["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"unsupported format {payload['format']!r}, "
+                             f"expected {CHECKPOINT_FORMAT}")
+        cfg = ModelConfig(hidden_dim=int(payload["config"]["hidden_dim"]),
+                          dropout=float(payload["config"]["dropout"]))
+        entries = payload["params"]
+        layout = _param_layout(cfg)
+        if [e["name"] for e in entries] != [n for n, _ in layout]:
+            raise ValueError("unexpected parameter set or order")
+        arrays = {}
+        for entry, (name, shape) in zip(entries, layout):
+            if tuple(entry["shape"]) != shape:
+                raise ValueError(f"{name} has shape {entry['shape']}, expected {list(shape)}")
+            raw = base64.b64decode(entry["data"], validate=True)
+            nbytes = 8 * math.prod(shape)
+            if len(raw) != nbytes:
+                raise ValueError(f"{name} holds {len(raw)} bytes, expected {nbytes}")
+            # frombuffer views the immutable bytes; parameters must be writable
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         return cls.from_arrays(cfg, arrays)
 
 

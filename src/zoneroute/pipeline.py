@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -20,12 +19,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, make_rng
 from .baselines import nearest_neighbor
+from .dataio import data_errors, read_json, write_json
 from .errors import DataError, DomainError
 from .hexgrid import GeoPoint, GridSpec
 from .model import (DecodeResult, ModelConfig, ModelParams, decode,
                     decode_tape, encode, reinforce_loss)
 from .routegraph import Route, Stop, build_graph, project_stops, tour_length
-from .zoning import Zoning, load_zoning, save_zoning, zone_of_stop
+from .zoning import Zoning, load_zoning, save_zoning, stops_by_zone, zone_of_stop
 
 
 @dataclass
@@ -168,10 +168,7 @@ def extract_zone_subroutes(routes: list[Route], zoning: Zoning) -> dict[int, lis
     at least two of its stops, the stop subset with its travel submatrix."""
     out: dict[int, list[SubInstance]] = {}
     for route in routes:
-        by_zone: dict[int, list[int]] = {}
-        for i, stop in enumerate(route.stops):
-            by_zone.setdefault(zone_of_stop(stop, zoning), []).append(i)
-        for zone, indices in sorted(by_zone.items()):
+        for zone, indices in sorted(stops_by_zone(route, zoning).items()):
             if len(indices) < 2:
                 continue
             sub = _sub_route(route, indices, zone)
@@ -246,9 +243,7 @@ def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
     spec = zoning.spec
     points = project_stops(route, spec)
 
-    by_zone: dict[int, list[int]] = {}
-    for i, stop in enumerate(route.stops):
-        by_zone.setdefault(zone_of_stop(stop, zoning), []).append(i)
+    by_zone = stops_by_zone(route, zoning)
     zone_centroids = {z: points[idx].mean(axis=0) for z, idx in by_zone.items()}
 
     start = route.start_index
@@ -303,8 +298,7 @@ def save_general(params: ModelParams, log_rows, ckpt_dir, spec: GridSpec) -> Non
     os.makedirs(ckpt_dir, exist_ok=True)
     params.save(os.path.join(ckpt_dir, GENERAL_CKPT))
     write_log_csv(log_rows, os.path.join(ckpt_dir, GENERAL_LOG))
-    with open(os.path.join(ckpt_dir, GENERAL_GRID), "w") as fh:
-        fh.write(json.dumps(spec.to_dict()))
+    write_json(os.path.join(ckpt_dir, GENERAL_GRID), spec.to_dict())
 
 
 def load_general(ckpt_dir):
@@ -312,12 +306,7 @@ def load_general(ckpt_dir):
     path = os.path.join(ckpt_dir, GENERAL_CKPT)
     if not os.path.isfile(path):
         raise DataError(f"no general checkpoint at {path}")
-    grid_path = os.path.join(ckpt_dir, GENERAL_GRID)
-    try:
-        with open(grid_path) as fh:
-            spec = GridSpec.from_dict(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed grid file {grid_path}: {exc}") from exc
+    spec = read_json(os.path.join(ckpt_dir, GENERAL_GRID), GridSpec.from_dict)
     return ModelParams.load(path), spec
 
 
@@ -339,8 +328,10 @@ def load_zoned(ckpt_dir) -> ZoneModelSet:
     zms = ZoneModelSet(zoning=load_zoning(zones_path))
     for name in sorted(os.listdir(zone_dir)):
         if name.startswith("zone_") and name.endswith(".ckpt.json"):
-            zone = int(name[len("zone_"):-len(".ckpt.json")])
-            zms.models[zone] = ModelParams.load(os.path.join(zone_dir, name))
+            path = os.path.join(zone_dir, name)
+            with data_errors(path):
+                zone = int(name[len("zone_"):-len(".ckpt.json")])
+            zms.models[zone] = ModelParams.load(path)
     if not zms.models:
         raise DataError(f"no zone checkpoints in {zone_dir}")
     return zms

@@ -8,13 +8,13 @@ otherwise by nearest centroid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import make_rng
-from .errors import DataError, DomainError
+from .dataio import read_json, write_json
+from .errors import DomainError
 from .hexgrid import (GridSpec, HexCellId, cell_of, centroid,
                       format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
@@ -123,10 +123,18 @@ def zone_of_stop(s: Stop, z: Zoning) -> int:
     return zone_of_point(p.x, p.y, z)
 
 
+def stops_by_zone(route: Route, z: Zoning) -> dict[int, list[int]]:
+    """Stop indices of `route` grouped by zone, in order of first appearance."""
+    by_zone: dict[int, list[int]] = {}
+    for i, stop in enumerate(route.stops):
+        by_zone.setdefault(zone_of_stop(stop, z), []).append(i)
+    return by_zone
+
+
 def clusters_visited(route: Route, z: Zoning) -> int:
     if not route.stops:
         raise DomainError("clusters_visited: empty route")
-    return len({zone_of_stop(s, z) for s in route.stops})
+    return len(stops_by_zone(route, z))
 
 
 def inertia(z: Zoning) -> float:
@@ -149,7 +157,7 @@ def zone_sizes(z: Zoning) -> list[int]:
 # zones file
 
 def save_zoning(z: Zoning, path) -> None:
-    payload = {
+    write_json(path, {
         "grid": z.spec.to_dict(),
         "resolution": z.resolution,
         "k": z.k,
@@ -158,20 +166,12 @@ def save_zoning(z: Zoning, path) -> None:
         "cells": {format_cell_id(c): zone
                   for c, zone in sorted(z.cell_to_zone.items(),
                                         key=lambda kv: (kv[0].q, kv[0].r))},
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+    })
 
 
 def load_zoning(path) -> Zoning:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        spec = GridSpec.from_dict(payload["grid"])
-        cells = {parse_cell_id(cid): int(zone) for cid, zone in payload["cells"].items()}
-        return Zoning(spec=spec, resolution=int(payload["resolution"]),
-                      k=int(payload["k"]), seed=int(payload["seed"]),
-                      centroids=np.array(payload["centroids"], dtype=np.float64),
-                      cell_to_zone=cells)
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed zones file {path}: {exc}") from exc
+    return read_json(path, lambda payload: Zoning(
+        spec=GridSpec.from_dict(payload["grid"]), resolution=int(payload["resolution"]),
+        k=int(payload["k"]), seed=int(payload["seed"]),
+        centroids=np.array(payload["centroids"], dtype=np.float64),
+        cell_to_zone={parse_cell_id(cid): int(zone) for cid, zone in payload["cells"].items()}))

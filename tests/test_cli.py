@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zoneroute
 from zoneroute import cli
@@ -23,14 +27,18 @@ def write_config(path, **kv):
     return str(path)
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def make_workspace(tmp_path):
     synth_cfg = write_config(tmp_path / "synth.cfg",
                              n_routes=6, stops_min=4, stops_max=5, seed=13)
     train_cfg = write_config(tmp_path / "train.cfg", epochs=1, seed=5)
     routes = str(tmp_path / "routes")
     assert cli.main(["synth", "--config", synth_cfg, "--out", routes]) == 0
     return tmp_path, routes, train_cfg
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
 
 
 def test_full_chain(workspace, capsys):
@@ -157,9 +165,7 @@ def test_malformed_route_json_exits_2(workspace, capsys):
     assert_data_error_naming(path, capsys)
 
 
-@pytest.fixture
-def general_run(workspace):
-    """A general checkpoint and its tours over the workspace routes, plus zones."""
+def make_general_run(workspace):
     tmp_path, routes, train_cfg = workspace
     zones, gdir = str(tmp_path / "zones.json"), str(tmp_path / "g")
     tours = str(tmp_path / "tours.json")
@@ -169,6 +175,12 @@ def general_run(workspace):
     assert cli.main(["infer", "--strategy", "general", "--routes", routes,
                      "--ckpt", gdir, "--out", tours]) == 0
     return tmp_path, routes, zones, gdir, tours
+
+
+@pytest.fixture
+def general_run(workspace):
+    """A general checkpoint and its tours over the workspace routes, plus zones."""
+    return make_general_run(workspace)
 
 
 def rewrite_json(path, mutate):
@@ -255,6 +267,133 @@ def test_grid_file_missing_key_exits_2(general_run, capsys):
     assert cli.main(["infer", "--strategy", "general", "--routes", routes,
                      "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
     assert_data_error_naming(grid, capsys)
+
+
+def stage_argv(stage, run):
+    """Arguments of the CLI stage `stage` over a `general_run` directory; the
+    zoned checkpoint is `z` under it."""
+    tmp_path, routes, zones, gdir, tours = run
+    out = str(tmp_path / "out.json")
+    return {
+        "zones": ["zones", "--routes", routes, "--k", "1", "--out", out],
+        "infer-general": ["infer", "--strategy", "general", "--routes", routes,
+                          "--ckpt", gdir, "--out", out],
+        "infer-zoned": ["infer", "--strategy", "zoned", "--routes", routes,
+                        "--ckpt", str(tmp_path / "z"), "--out", out],
+        "eval": ["eval", "--routes", routes, "--tours-general", tours,
+                 "--tours-zoned", tours, "--zones", zones, "--out", out],
+    }[stage]
+
+
+def edited_text(edit):
+    def apply(path):
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+    return apply
+
+
+truncate = edited_text(lambda text: text[:len(text) // 2])
+
+
+def set_first(block, value):
+    block[sorted(block)[0]] = value
+
+
+def first_value(block):
+    return block[sorted(block)[0]]
+
+
+def rewritten(mutate):
+    return lambda path: rewrite_json(path, mutate)
+
+
+# id -> (file corrupted, relative to the run directory; how; the stage that
+# reads it; the path the error line names)
+CONTRACT_PROBES = {
+    "route-entry-is-list": (
+        "routes/route_data.json",
+        rewritten(lambda d: d.update(R0000=list(d["R0000"].values()))), "zones", "routes"),
+    "routes-top-level-list": ("routes/route_data.json", edited_text(lambda text: f"[{text}]"),
+                              "zones", "routes"),
+    "travel-time-abc": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]), "abc")), "zones", "routes"),
+    "travel-time-null": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]), None)), "zones", "routes"),
+    "lat-north": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(lat="north")),
+        "zones", "routes"),
+    "sequence-rank-x": (
+        "routes/actual_sequences.json",
+        rewritten(lambda d: set_first(d["R0000"]["actual"], "x")), "zones", "routes"),
+    "zones-truncated": ("zones.json", truncate, "eval", "zones.json"),
+    "zoned-ckpt-zones-truncated": ("z/zones.json", truncate, "infer-zoned", "z/zones.json"),
+    "zone-id-x": ("zones.json", rewritten(lambda d: set_first(d["cells"], "x")),
+                  "eval", "zones.json"),
+    "cell-id-ZZ": ("zones.json", rewritten(lambda d: d["cells"].update(ZZ=0)),
+                   "eval", "zones.json"),
+    "zone-file-x": (
+        "z/zones/zone_x.ckpt.json",
+        lambda path: shutil.copy(os.path.join(os.path.dirname(path), "zone_0.ckpt.json"), path),
+        "infer-zoned", "z/zones/zone_x.ckpt.json"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CONTRACT_PROBES))
+def test_corrupted_input_exits_2_naming_it(general_run, probe, capsys):
+    tmp_path, routes, zones, _, _ = general_run
+    target, corrupt, stage, named = CONTRACT_PROBES[probe]
+    if stage == "infer-zoned":
+        assert cli.main(["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
+                         "--config", str(tmp_path / "train.cfg"),
+                         "--out", str(tmp_path / "z"), "--jobs", "1"]) == 0
+    corrupt(str(tmp_path / target))
+    capsys.readouterr()
+    assert cli.main(stage_argv(stage, general_run)) == 2
+    assert_data_error_naming(tmp_path / named, capsys)
+
+
+@pytest.fixture(scope="module")
+def shared_run(tmp_path_factory):
+    """A `general_run` built once for the tests that only read it."""
+    return make_general_run(make_workspace(tmp_path_factory.mktemp("shared")))
+
+
+# every JSON input of the chain -> the stage that reads it
+TRUNCATION_STAGES = {
+    "routes/route_data.json": "zones",
+    "routes/travel_times.json": "zones",
+    "routes/actual_sequences.json": "zones",
+    "zones.json": "eval",
+    "g/grid.json": "infer-general",
+    "g/general.ckpt.json": "infer-general",
+    "tours.json": "eval",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_STAGES))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_truncated_input_exits_2(shared_run, name, data):
+    path = str(shared_run[0] / name)
+    original = read_bytes(path)
+    cut = data.draw(st.integers(0, len(original) - 1), label="offset")
+    err = io.StringIO()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(original[:cut])
+        with contextlib.redirect_stderr(err):
+            code = cli.main(stage_argv(TRUNCATION_STAGES[name], shared_run))
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("data error:") and path in lines[0]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

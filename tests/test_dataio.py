@@ -8,10 +8,12 @@ from zoneroute.dataio import (
     SynthConfig,
     generate_synthetic,
     load_routes,
+    read_json,
     save_routes,
     split,
+    write_json,
 )
-from zoneroute.errors import DataError, DomainError
+from zoneroute.errors import DataError, DomainError, NumericError
 from zoneroute.routegraph import tour_length
 
 
@@ -172,3 +174,48 @@ def test_split_disjoint_and_deterministic():
     assert [r.id for r in train2] == [r.id for r in train]
     with pytest.raises(DomainError):
         split(routes, 1.5, seed=0)
+
+
+def test_write_json_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    write_json(path, {"a": 1})
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_json(path, {"a": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.json"]
+
+
+def test_write_json_bytes_match_json_dumps(tmp_path):
+    payload = {"b": [1.5, -0.0, 1e-300], "a": {"z": None, "y": "s"}}
+    for kwargs in ({}, {"sort_keys": True}, {"indent": 1}):
+        write_json(tmp_path / "f.json", payload, **kwargs)
+        assert (tmp_path / "f.json").read_text() == json.dumps(payload, **kwargs)
+        assert read_json(tmp_path / "f.json") == payload
+
+
+def test_read_json_maps_content_faults_to_one_data_error(tmp_path):
+    path = tmp_path / "p.json"
+    write_json(path, {"a": [1]})
+
+    def numeric(payload):
+        raise NumericError("overflow")
+
+    for parse in (lambda p: p["b"], lambda p: p["a"][3], lambda p: int("x"),
+                  lambda p: p.get_x, lambda p: p + 1, lambda p: int(float("inf"))):
+        with pytest.raises(DataError) as info:
+            read_json(path, parse)
+        assert str(info.value).startswith(f"{path}: ")
+    with pytest.raises(NumericError):
+        read_json(path, numeric)
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "absent.json")
+    path.write_text('{"a": ')
+    with pytest.raises(DataError) as info:
+        read_json(path)
+    assert str(path) in str(info.value)
