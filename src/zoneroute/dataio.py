@@ -1,5 +1,5 @@
 """Route loading (challenge-style three-file layout), synthetic generation,
-fold splitting, and the one JSON read/write path every zoneroute file uses.
+fold splitting, and the one read/write path every zoneroute file uses.
 
 The on-disk layout mirrors the public last-mile challenge data so that real
 files drop in unchanged: route_data.json (stops with coordinates, zone ids,
@@ -10,6 +10,7 @@ optionally actual_sequences.json (ground-truth visiting order).
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -51,19 +52,36 @@ def read_json(path, parse=None):
         return payload if parse is None else parse(payload)
 
 
-def write_json(path, payload, **dumps_kwargs) -> None:
-    """Write `payload` as JSON to a temp file beside `path`, then rename it
-    over `path`, so an interrupted write leaves the previous file as it was."""
+@contextlib.contextmanager
+def _atomic_open(path, **open_kwargs):
+    """A text file open for writing at a temp path beside `path`, renamed over
+    `path` when the block ends, so an interrupted write leaves the previous
+    file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            # json.dumps runs the C encoder; json.dump would use the pure-Python one
-            fh.write(json.dumps(payload, **dumps_kwargs))
+        with open(tmp, "w", **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, payload, **dumps_kwargs) -> None:
+    """Write `payload` as JSON to `path` atomically."""
+    with _atomic_open(path) as fh:
+        # json.dumps runs the C encoder; json.dump would use the pure-Python one
+        fh.write(json.dumps(payload, **dumps_kwargs))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and then `rows` to `path` in the default csv dialect,
+    atomically."""
+    with _atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_routes(dir_path) -> list[Route]:

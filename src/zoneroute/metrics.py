@@ -3,17 +3,20 @@ groupings by clusters visited and by stop count, with JSON/CSV reports."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import asdict, dataclass
+from bisect import bisect_left
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .dataio import read_json, write_json
+from .dataio import read_json, write_csv, write_json
 from .errors import DomainError
 
 QUANTILES = (0.25, 0.5, 0.75, 0.9)
+# each bin but the last holds the values up to its edge, inclusive
 CLUSTER_BINS = ("1", "2", "3", "4+")
+CLUSTER_EDGES = (1, 2, 3)
 STOP_BINS = ("<=100", "101-120", "121-140", "141-160", "161-180", "181-200", ">200")
+STOP_EDGES = (100, 120, 140, 160, 180, 200)
 
 STRATEGIES = ("general", "zoned")
 
@@ -61,29 +64,11 @@ def error_stats(errors) -> dict:
 
 
 def cluster_bin(clusters: int) -> str:
-    if clusters <= 1:
-        return "1"
-    if clusters == 2:
-        return "2"
-    if clusters == 3:
-        return "3"
-    return "4+"
+    return CLUSTER_BINS[bisect_left(CLUSTER_EDGES, clusters)]
 
 
 def stop_bin(n_stops: int) -> str:
-    if n_stops <= 100:
-        return "<=100"
-    if n_stops <= 120:
-        return "101-120"
-    if n_stops <= 140:
-        return "121-140"
-    if n_stops <= 160:
-        return "141-160"
-    if n_stops <= 180:
-        return "161-180"
-    if n_stops <= 200:
-        return "181-200"
-    return ">200"
+    return STOP_BINS[bisect_left(STOP_EDGES, n_stops)]
 
 
 def _bin_block(rows: list[RouteRow]) -> dict:
@@ -153,18 +138,10 @@ def load_report_json(path) -> dict:
 
 
 def save_report_csv(rows: list[RouteRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([r.route_id, r.n_stops, r.clusters_visited,
-                             r.actual_s, r.pred_general_s, r.pred_zoned_s])
+    write_csv(path, CSV_COLUMNS, map(astuple, rows))
 
 
 def save_plot_data_csv(rows: list[RouteRow], path) -> None:
     """Per-route (index, actual, predicted) series for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "actual_s", "pred_general_s", "pred_zoned_s"])
-        for i, r in enumerate(rows):
-            writer.writerow([i, r.actual_s, r.pred_general_s, r.pred_zoned_s])
+    write_csv(path, ["index", "actual_s", "pred_general_s", "pred_zoned_s"],
+              ([i, r.actual_s, r.pred_general_s, r.pred_zoned_s] for i, r in enumerate(rows)))

@@ -9,7 +9,6 @@ entering each zone at its stop nearest the current position.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass, field, replace
@@ -17,15 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Tensor, make_rng
+from .autodiff import AdamState, make_rng
 from .baselines import nearest_neighbor
-from .dataio import data_errors, read_json, write_json
+from .dataio import read_json, write_csv, write_json
 from .errors import DataError, DomainError
 from .hexgrid import GeoPoint, GridSpec
 from .model import (DecodeResult, ModelConfig, ModelParams, decode,
                     decode_tape, encode, reinforce_loss)
-from .routegraph import Route, Stop, build_graph, project_stops, tour_length
-from .zoning import Zoning, load_zoning, save_zoning, stops_by_zone, zone_of_stop
+from .routegraph import Route, build_graph, project_stops, tour_length
+from .zoning import Zoning, load_zoning, save_zoning, stops_by_zone
 
 
 @dataclass
@@ -67,10 +66,7 @@ LOG_COLUMNS = ("epoch", "mean_sampled_len", "greedy_eval_len", "baseline")
 
 
 def write_log_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        writer.writerows(rows)
+    write_csv(path, LOG_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +92,7 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
         train_routes, eval_routes = routes, routes
 
     graphs = {r.id: build_graph(r, spec) for r in routes}
-    plist = params.as_list()
-    state = AdamState(plist)
+    state = AdamState(params.as_list())
     baseline = None
     log_rows = []
 
@@ -106,35 +101,44 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
         rng.shuffle(order)
         sampled_lengths = []
         for chunk_start in range(0, len(order), cfg.batch_size):
-            batch = order[chunk_start:chunk_start + cfg.batch_size]
-            log_probs, lengths = [], []
-            for idx in batch:
-                route = train_routes[int(idx)]
-                g = graphs[route.id]
-                start = (int(rng.integers(route.n)) if route.id in random_start_ids
-                         else route.start_index)
-                E = encode(g, params, training=True, rng=rng)
-                for _ in range(cfg.samples_per_route):
-                    tour, logp = decode_tape(E, start, params, greedy=False, rng=rng)
-                    log_probs.append(logp)
-                    lengths.append(tour_length(tour, route.travel))
-            batch_mean = float(np.mean(lengths))
-            if baseline is None:
-                baseline = batch_mean
-            loss = reinforce_loss(log_probs, lengths, baseline)
-            grads = ad.backward(loss, plist)
-            ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
-            baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * batch_mean
+            batch = [train_routes[int(i)] for i in order[chunk_start:chunk_start + cfg.batch_size]]
+            lengths, baseline = _train_batch(batch, graphs, params, state, baseline, cfg, rng,
+                                             random_start_ids)
             sampled_lengths.extend(lengths)
-
-        greedy_lengths = []
-        for route in eval_routes:
-            E = encode(graphs[route.id], params, training=False)
-            res = decode(E, route.start_index, route.travel, params, greedy=True)
-            greedy_lengths.append(res.length)
+        greedy_lengths = [_greedy(graphs[r.id], r, params).length for r in eval_routes]
         log_rows.append((epoch, float(np.mean(sampled_lengths)),
                          float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
+
+
+def _train_batch(batch, graphs, params, state, baseline, cfg, rng, random_start_ids):
+    """One minibatch: sampled rollouts, REINFORCE loss, backward and Adam.
+    Returns (sampled lengths, updated baseline); the batch's tape and every
+    gradient, the parameters' included, are freed on return."""
+    log_probs, lengths = [], []
+    for route in batch:
+        start = (int(rng.integers(route.n)) if route.id in random_start_ids
+                 else route.start_index)
+        E = encode(graphs[route.id], params, training=True, rng=rng)
+        for _ in range(cfg.samples_per_route):
+            tour, logp = decode_tape(E, start, params, greedy=False, rng=rng)
+            log_probs.append(logp)
+            lengths.append(tour_length(tour, route.travel))
+    batch_mean = float(np.mean(lengths))
+    if baseline is None:
+        baseline = batch_mean
+    plist = params.as_list()
+    grads = ad.backward(reinforce_loss(log_probs, lengths, baseline), plist)
+    ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
+    for p in plist:
+        p.grad = None
+    return lengths, cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * batch_mean
+
+
+def _greedy(graph, route: Route, params: ModelParams) -> DecodeResult:
+    """Greedy decode of `route`, whose graph is `graph`, from its start stop."""
+    return decode(encode(graph, params, training=False), route.start_index, route.travel,
+                  params, greedy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -143,37 +147,30 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
 @dataclass
 class SubInstance:
     route: Route
-    parent_id: str
     parent_indices: list[int]
     full: bool  # covers every stop of the parent route
 
 
-def _sub_route(route: Route, indices: list[int], zone: int) -> Route:
-    full = len(indices) == route.n
-    stops = []
-    start_idx = route.start_index
-    nominal = start_idx if start_idx in indices else indices[0]
-    for i in indices:
-        s = route.stops[i]
-        stops.append(Stop(id=s.id, geo=s.geo, zone_label=s.zone_label,
-                          is_start=(i == nominal)))
-    travel = route.travel[np.ix_(indices, indices)].copy()
-    sub_id = route.id if full else f"{route.id}#z{zone}"
-    sub = Route(id=sub_id, stops=stops, travel=travel)
-    return sub
+def _sub_route(route: Route, indices: list[int], zone: int, start: int) -> Route:
+    """The stops `indices` of `route` (`start` among them, as the start stop)
+    with their travel submatrix; a route's id is kept when nothing is cut."""
+    stops = [replace(route.stops[i], is_start=(i == start)) for i in indices]
+    sub_id = route.id if len(indices) == route.n else f"{route.id}#z{zone}"
+    return Route(id=sub_id, stops=stops, travel=route.travel[np.ix_(indices, indices)].copy())
 
 
 def extract_zone_subroutes(routes: list[Route], zoning: Zoning) -> dict[int, list[SubInstance]]:
     """Per-zone training sub-instances: for each route and each zone holding
-    at least two of its stops, the stop subset with its travel submatrix."""
+    at least two of its stops, the stop subset with its travel submatrix,
+    started at the route's start when the zone holds it, else at its first stop."""
     out: dict[int, list[SubInstance]] = {}
     for route in routes:
         for zone, indices in sorted(stops_by_zone(route, zoning).items()):
             if len(indices) < 2:
                 continue
-            sub = _sub_route(route, indices, zone)
+            start = route.start_index if route.start_index in indices else indices[0]
             out.setdefault(zone, []).append(
-                SubInstance(route=sub, parent_id=route.id,
+                SubInstance(route=_sub_route(route, indices, zone, start),
                             parent_indices=indices, full=len(indices) == route.n))
     return out
 
@@ -187,9 +184,7 @@ class ZoneModelSet:
 
 def _train_zone_worker(args):
     zone, routes, random_ids, cfg, spec = args
-    params, log_rows = train_general(routes, cfg, spec, random_start_ids=random_ids)
-    payload = {name: params[name].data for name in params.names()}
-    return zone, payload, log_rows
+    return (zone, *train_general(routes, cfg, spec, random_start_ids=random_ids))
 
 
 def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
@@ -210,19 +205,19 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
         zone_cfg = replace(cfg, seed=derive_seed(cfg.seed, zone))
         tasks.append((zone, zone_routes, random_ids, zone_cfg, zoning.spec))
 
-    results = []
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here: the CLI stages that never train zones skip loading multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_train_zone_worker, tasks))
     else:
         results = [_train_zone_worker(t) for t in tasks]
 
     zms = ZoneModelSet(zoning=zoning)
-    for zone, payload, log_rows in sorted(results):
-        zms.models[zone] = ModelParams.from_arrays(cfg.model_config(), payload)
+    for zone, params, log_rows in results:  # in zone order, as the tasks
+        zms.models[zone] = params
         zms.logs[zone] = log_rows
     return zms
 
@@ -231,54 +226,41 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
 # inference
 
 def infer_general(route: Route, params: ModelParams, spec: GridSpec) -> DecodeResult:
-    g = build_graph(route, spec)
-    E = encode(g, params, training=False)
-    return decode(E, route.start_index, route.travel, params, greedy=True)
+    return _greedy(build_graph(route, spec), route, params)
 
 
 def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
     """Greedy zone stitching: order zones by nearest stop centroid from the
     current position, decode each zone's sub-instance with its own model."""
     zoning = zms.zoning
-    spec = zoning.spec
-    points = project_stops(route, spec)
-
+    points = project_stops(route, zoning.spec)
     by_zone = stops_by_zone(route, zoning)
     zone_centroids = {z: points[idx].mean(axis=0) for z, idx in by_zone.items()}
 
-    start = route.start_index
-    current_zone = zone_of_stop(route.stops[start], zoning)
-    entry = start
-    position = points[start]
-    remaining = set(by_zone)
+    entry = route.start_index
+    zone = next(z for z, idx in by_zone.items() if entry in idx)
     order: list[int] = []
     total_log_prob = 0.0
-
-    while True:
-        indices = by_zone[current_zone]
+    while by_zone:
+        if order:
+            position = points[order[-1]]
+            zone = min(by_zone,
+                       key=lambda z: (float(((zone_centroids[z] - position) ** 2).sum()), z))
+            entry = min(by_zone[zone],
+                        key=lambda i: (float(((points[i] - position) ** 2).sum()), i))
+        indices = by_zone.pop(zone)
         if len(indices) == 1:
             order.extend(indices)
+            continue
+        sub = _sub_route(route, indices, zone, entry)
+        params = zms.models.get(zone)
+        if params is None:
+            sub_tour = nearest_neighbor(sub.travel, sub.start_index)
         else:
-            sub = _sub_route(route, indices, current_zone)
-            entry_local = indices.index(entry)
-            params = zms.models.get(current_zone)
-            if params is None:
-                sub_tour = nearest_neighbor(sub.travel, entry_local)
-            else:
-                g = build_graph(sub, spec)
-                E = encode(g, params, training=False)
-                res = decode(E, entry_local, sub.travel, params, greedy=True)
-                sub_tour = res.tour
-                total_log_prob += res.log_prob
-            order.extend(indices[i] for i in sub_tour)
-        remaining.discard(current_zone)
-        if not remaining:
-            break
-        position = points[order[-1]]
-        current_zone = min(remaining,
-                           key=lambda z: (float(((zone_centroids[z] - position) ** 2).sum()), z))
-        entry = min(by_zone[current_zone],
-                    key=lambda i: (float(((points[i] - position) ** 2).sum()), i))
+            res = _greedy(build_graph(sub, zoning.spec), sub, params)
+            sub_tour = res.tour
+            total_log_prob += res.log_prob
+        order.extend(indices[i] for i in sub_tour)
 
     return DecodeResult(tour=order, log_prob=total_log_prob,
                         length=tour_length(order, route.travel))
@@ -292,6 +274,7 @@ GENERAL_LOG = "train_log.csv"
 GENERAL_GRID = "grid.json"
 ZONES_SUBDIR = "zones"
 ZONES_FILE = "zones.json"
+ZONES_MANIFEST = "manifest.json"
 
 
 def save_general(params: ModelParams, log_rows, ckpt_dir, spec: GridSpec) -> None:
@@ -311,27 +294,34 @@ def load_general(ckpt_dir):
 
 
 def save_zoned(zms: ZoneModelSet, ckpt_dir) -> None:
+    """Write the zoning, each zone's checkpoint and log, then the manifest:
+    a directory without the manifest holds no zoned checkpoint."""
     zone_dir = os.path.join(ckpt_dir, ZONES_SUBDIR)
     os.makedirs(zone_dir, exist_ok=True)
     save_zoning(zms.zoning, os.path.join(ckpt_dir, ZONES_FILE))
-    for zone in sorted(zms.models):
+    zones = sorted(zms.models)
+    for zone in zones:
         zms.models[zone].save(os.path.join(zone_dir, f"zone_{zone}.ckpt.json"))
         write_log_csv(zms.logs.get(zone, []),
                       os.path.join(zone_dir, f"zone_{zone}.log.csv"))
+    write_json(os.path.join(zone_dir, ZONES_MANIFEST), {"zones": zones})
+
+
+def _listed_zones(payload, k: int) -> list[int]:
+    zones = payload["zones"]
+    if not zones or any(type(z) is not int or not 0 <= z < k for z in zones):
+        raise ValueError(f"'zones' must be a non-empty list of zone ids in [0, {k})")
+    return zones
 
 
 def load_zoned(ckpt_dir) -> ZoneModelSet:
+    """The zoning and the models of exactly the zones the manifest lists."""
     zones_path = os.path.join(ckpt_dir, ZONES_FILE)
     zone_dir = os.path.join(ckpt_dir, ZONES_SUBDIR)
-    if not os.path.isfile(zones_path) or not os.path.isdir(zone_dir):
+    manifest = os.path.join(zone_dir, ZONES_MANIFEST)
+    if not os.path.isfile(zones_path) or not os.path.isfile(manifest):
         raise DataError(f"no zoned checkpoint layout in {ckpt_dir}")
     zms = ZoneModelSet(zoning=load_zoning(zones_path))
-    for name in sorted(os.listdir(zone_dir)):
-        if name.startswith("zone_") and name.endswith(".ckpt.json"):
-            path = os.path.join(zone_dir, name)
-            with data_errors(path):
-                zone = int(name[len("zone_"):-len(".ckpt.json")])
-            zms.models[zone] = ModelParams.load(path)
-    if not zms.models:
-        raise DataError(f"no zone checkpoints in {zone_dir}")
+    for zone in read_json(manifest, lambda payload: _listed_zones(payload, zms.zoning.k)):
+        zms.models[zone] = ModelParams.load(os.path.join(zone_dir, f"zone_{zone}.ckpt.json"))
     return zms

@@ -37,6 +37,8 @@ class Zoning:
             raise DomainError(f"zoning: expected {self.k} x 2 centroids, got {self.centroids.shape}")
         if not np.all(np.isfinite(self.centroids)):
             raise DomainError("zoning: non-finite centroid")
+        if any(not 0 <= zone < self.k for zone in self.cell_to_zone.values()):
+            raise DomainError(f"zoning: a cell's zone id lies outside [0, {self.k})")
 
 
 def collect_cells(routes: list[Route], resolution: int, spec: GridSpec) -> set[HexCellId]:

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -336,10 +335,12 @@ CONTRACT_PROBES = {
                   "eval", "zones.json"),
     "cell-id-ZZ": ("zones.json", rewritten(lambda d: d["cells"].update(ZZ=0)),
                    "eval", "zones.json"),
-    "zone-file-x": (
-        "z/zones/zone_x.ckpt.json",
-        lambda path: shutil.copy(os.path.join(os.path.dirname(path), "zone_0.ckpt.json"), path),
-        "infer-zoned", "z/zones/zone_x.ckpt.json"),
+    "zone-id-99": ("zones.json", rewritten(lambda d: set_first(d["cells"], 99)),
+                   "eval", "zones.json"),
+    "zone-file-missing": ("z/zones/zone_0.ckpt.json", os.remove,
+                          "infer-zoned", "z/zones/zone_0.ckpt.json"),
+    "manifest-zone-id-x": ("z/zones/manifest.json", rewritten(lambda d: d.update(zones=["x"])),
+                           "infer-zoned", "z/zones/manifest.json"),
 }
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -11,6 +13,7 @@ from zoneroute.dataio import (
     read_json,
     save_routes,
     split,
+    write_csv,
     write_json,
 )
 from zoneroute.errors import DataError, DomainError, NumericError
@@ -189,6 +192,27 @@ def test_write_json_is_atomic(tmp_path, monkeypatch):
         write_json(path, {"a": 2})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["f.json"]
+
+
+def test_write_csv_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "f.csv"
+    rows = [(1, 2.5, "a,b"), (2, -0.0, None)]
+    write_csv(path, ("n", "x", "s"), rows)
+    before = path.read_bytes()
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("n", "x", "s"))
+    writer.writerows(rows)
+    assert before == expected.getvalue().encode()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_csv(path, ("n",), [(3,)])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.csv"]
 
 
 def test_write_json_bytes_match_json_dumps(tmp_path):

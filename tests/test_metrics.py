@@ -58,6 +58,14 @@ def test_bins():
     assert stop_bin(201) == ">200"
 
 
+def test_bin_edges():
+    assert [cluster_bin(c) for c in range(6)] == ["1", "1", "2", "3", "4+", "4+"]
+    labels = ["<=100", "101-120", "121-140", "141-160", "161-180", "181-200", ">200"]
+    for i, edge in enumerate((100, 120, 140, 160, 180, 200)):
+        assert stop_bin(edge) == labels[i]
+        assert stop_bin(edge + 1) == labels[i + 1]
+
+
 def test_grouped_mape_identity_100_routes():
     rng = np.random.default_rng(0)
     rows = []

@@ -1,3 +1,9 @@
+import concurrent.futures
+import json
+import os
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,8 +26,8 @@ from zoneroute.pipeline import (
     train_general,
     train_zone_models,
 )
-from zoneroute.routegraph import tour_length
-from zoneroute.zoning import Zoning, collect_cells, kmeans, zone_of_stop
+from zoneroute.routegraph import Route, tour_length
+from zoneroute.zoning import Zoning, collect_cells, kmeans, stops_by_zone, zone_of_stop
 
 from conftest import make_route, symmetric_travel
 
@@ -178,6 +184,47 @@ def test_train_zone_models_jobs_parity():
         assert seq.logs[zone] == par.logs[zone]
 
 
+def test_single_zone_training_runs_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    routes = small_routes(n_routes=4, seed=12)
+    spec = default_grid_spec(routes)
+    zoning = kmeans(collect_cells(routes, 7, spec), 1, seed=0, spec=spec)
+    zms = train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2), jobs=4)
+    assert list(zms.models) == [0]
+
+
+def test_infer_zoned_decodes_each_zone_like_infer_general():
+    routes = small_routes(n_routes=6, seed=41)
+    spec = default_grid_spec(routes)
+    zoning = kmeans(collect_cells(routes, 8, spec), 3, seed=1, spec=spec)
+    zms = train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2))
+    decoded = 0
+    for route in routes:
+        res = infer_zoned(route, zms)
+        log_prob, pos = 0.0, 0
+        by_zone = stops_by_zone(route, zoning)
+        while pos < route.n:
+            # the zone segment that starts at the entry stop tour[pos]
+            zone = next(z for z, idx in by_zone.items() if res.tour[pos] in idx)
+            idx = by_zone[zone]
+            segment = res.tour[pos:pos + len(idx)]
+            assert sorted(segment) == idx
+            if len(idx) > 1 and zone in zms.models:
+                sub = Route(id="sub", travel=route.travel[np.ix_(idx, idx)],
+                            stops=[replace(route.stops[i], is_start=(i == segment[0]))
+                                   for i in idx])
+                alone = infer_general(sub, zms.models[zone], spec)
+                assert [idx[i] for i in alone.tour] == segment
+                log_prob += alone.log_prob
+                decoded += 1
+            pos += len(idx)
+        assert res.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
+    assert decoded >= len(routes)
+
+
 def test_infer_zoned_stitches_zones_in_nearest_order(spec):
     route, zoning = three_cluster_route(spec)
     zms = ZoneModelSet(zoning=zoning)  # no models: nearest-neighbor fallback
@@ -240,3 +287,21 @@ def test_zoned_checkpoint_roundtrip(tmp_path):
         assert infer_zoned(r, back).tour == infer_zoned(r, zms).tour
     with pytest.raises(DataError):
         load_zoned(str(tmp_path / "missing"))
+
+
+def test_zoned_checkpoint_loads_the_manifest_zones(tmp_path):
+    routes = small_routes(n_routes=6, seed=77)
+    spec = default_grid_spec(routes)
+    zoning = kmeans(collect_cells(routes, 8, spec), 2, seed=0, spec=spec)
+    zms = train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=1))
+    save_zoned(zms, str(tmp_path))
+    zone_dir = tmp_path / "zones"
+    with open(zone_dir / "manifest.json") as fh:
+        assert json.load(fh) == {"zones": sorted(zms.models)}
+    # a stray file in zones/ is not a zone
+    shutil.copy(zone_dir / "zone_0.ckpt.json", zone_dir / "zone_x.ckpt.json")
+    assert sorted(load_zoned(str(tmp_path)).models) == sorted(zms.models)
+    # without the manifest the directory holds no zoned checkpoint
+    os.remove(zone_dir / "manifest.json")
+    with pytest.raises(DataError, match="no zoned checkpoint"):
+        load_zoned(str(tmp_path))

@@ -83,6 +83,13 @@ def test_kmeans_rejects_bad_k(spec):
         kmeans(set(near), k=4, seed=0, spec=spec, resolution=7)
 
 
+def test_zoning_rejects_zone_ids_outside_k(spec):
+    for zone in (-1, 1, 99):
+        with pytest.raises(DomainError, match="zone id"):
+            Zoning(spec=spec, resolution=7, k=1, seed=0, centroids=np.zeros((1, 2)),
+                   cell_to_zone={HexCellId(7, 0, 0): zone})
+
+
 def test_zone_of_point_unmapped_cell_falls_back(spec):
     near, far = two_triple_cells(spec)
     z = kmeans(set(near) | set(far), k=2, seed=7, spec=spec, resolution=7)
