@@ -25,6 +25,8 @@ NEG_INF = -1e30
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based (Philox) generator: replayable across runs and platforms."""
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -56,15 +58,6 @@ class Tensor:
         if self.data.size != 1:
             raise DomainError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'}, name={self.name!r})"
@@ -105,15 +98,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
+def add(*terms) -> Tensor:
+    """Broadcast sum of one or more terms in one node, left to right as a
+    chain of two-term adds sums them; one term is returned as it is."""
+    terms = tuple(_as_tensor(t) for t in terms)
+    if len(terms) == 1:
+        return terms[0]
+    out = sum((t.data for t in terms[1:]), terms[0].data)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        for t in terms:
+            _accumulate(t, _unbroadcast(g, t.shape))
 
-    return _result(out, (a, b), backward)
+    return _result(out, terms, backward)
 
 
 def mul(a, b) -> Tensor:
@@ -335,15 +332,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity in inference mode."""
+    """Inverted dropout; in inference mode, or at rate 0, `a` itself."""
     a = _as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate {rate} out of [0, 1)")
     if not training or rate == 0.0:
-        def backward_id(g):
-            _accumulate(a, g)
-
-        return _result(a.data.copy(), (a,), backward_id)
+        return a
     if rng is None:
         raise DomainError("training-mode dropout requires an rng")
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)

@@ -56,7 +56,8 @@ def _parse_config_file(path, cls):
                 values[key] = float(raw)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-    return cls(**values)
+    with dataio.data_errors(path):
+        return cls(**values)
 
 
 def _tours_of(payload) -> dict:
@@ -147,7 +148,8 @@ def cmd_eval(args) -> int:
     rows = []
     for route in routes:
         if route.actual_order is None:
-            raise DataError(f"route {route.id}: no ground-truth sequence for evaluation")
+            raise DataError(f"{args.routes}: route {route.id}: "
+                            f"no ground-truth sequence for evaluation")
         actual = tour_length(route.actual_order, route.travel)
         preds = {strategy: tour_length(_tour_indices(tours, path, route), route.travel)
                  for strategy, tours, path in (("general", tours_general, args.tours_general),

@@ -110,49 +110,32 @@ def load_routes(dir_path) -> list[Route]:
 
 
 def _parse_route(route_id, entry, travel_data, sequences):
-    """(stops, travel matrix, actual order or None) of one route's entries."""
-    stops_raw = entry.get("stops")
-    if not stops_raw:
-        raise DataError("no stops")
+    """(stops, travel matrix, actual order or None) of one route's entries.
+    `Route` checks the start stop and the matrix values, and a missing key
+    is a DataError through `data_errors`."""
+    stops_raw = entry["stops"]
     stop_ids = sorted(stops_raw)
-    stations = [sid for sid in stop_ids if stops_raw[sid].get("type") == "Station"]
-    if len(stations) != 1:
-        raise DataError(f"expected exactly one Station stop, got {len(stations)}")
     stops = []
     for sid in stop_ids:
         raw = stops_raw[sid]
         with data_errors(f"stop {sid}"):
-            geo = GeoPoint(float(raw["lat"]), float(raw["lng"]))
-        stops.append(Stop(id=sid, geo=geo, zone_label=raw.get("zone_id"),
-                          is_start=(sid == stations[0])))
-
-    matrix_raw = travel_data.get(route_id)
-    if matrix_raw is None:
-        raise DataError("no travel_times entry")
-    n = len(stop_ids)
-    travel = np.zeros((n, n))
-    for i, a in enumerate(stop_ids):
-        row = matrix_raw.get(a)
-        if row is None:
-            raise DataError(f"missing travel_times row for stop {a}")
-        for j, b in enumerate(stop_ids):
-            if i == j:
-                continue
-            if b not in row:
-                raise DataError(f"missing travel time {a} -> {b}")
-            travel[i, j] = float(row[b])
+            stops.append(Stop(id=sid, geo=GeoPoint(float(raw["lat"]), float(raw["lng"])),
+                              zone_label=raw.get("zone_id"),
+                              is_start=raw.get("type") == "Station"))
+    matrix_raw = travel_data[route_id]
+    travel = np.array([[0.0 if a == b else float(matrix_raw[a][b]) for b in stop_ids]
+                       for a in stop_ids])
 
     actual_order = None
     if sequences is not None and route_id in sequences:
         order_map = sequences[route_id].get("actual", {})
         if sorted(order_map) != stop_ids:
             raise DataError("actual sequence stop set mismatch")
+        # Route sees only the order, so a rank of -1 or a repeat is caught here
         ranks = [int(order_map[sid]) for sid in stop_ids]
-        if sorted(ranks) != list(range(n)):
+        if sorted(ranks) != list(range(len(ranks))):
             raise DataError("duplicate or gapped sequence order")
-        actual_order = [0] * n
-        for idx, rank in enumerate(ranks):
-            actual_order[rank] = idx
+        actual_order = sorted(range(len(ranks)), key=ranks.__getitem__)
 
     return stops, travel, actual_order
 

@@ -32,6 +32,12 @@ class ModelConfig:
     hidden_dim: int = 64
     dropout: float = 0.1
 
+    def __post_init__(self):
+        if self.hidden_dim < 1:
+            raise DomainError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
+
     @property
     def input_dim(self) -> int:
         return N_FEATURES + ZONE_EMBED_DIM
@@ -203,9 +209,15 @@ def gru_step(h: Tensor, x: Tensor, params: ModelParams) -> Tensor:
                                for gate in ("z", "r", "h") for kind in ("W", "U", "b")))
 
 
+def _pointer_branch(x: Tensor, params: ModelParams, side: str) -> Tensor:
+    """layer_norm(relu(x FC1) FC2): the query ("q") or key ("k") branch."""
+    hidden = ad.relu(ad.matmul(x, params[f"ptr.FC1_{side}"]))
+    return ad.layer_norm(ad.matmul(hidden, params[f"ptr.FC2_{side}"]),
+                         params[f"ptr.ln_{side}_gain"], params[f"ptr.ln_{side}_bias"])
+
+
 def pointer_keys(E: Tensor, params: ModelParams) -> Tensor:
-    return ad.layer_norm(ad.matmul(ad.relu(ad.matmul(E, params["ptr.FC1_k"])), params["ptr.FC2_k"]),
-                         params["ptr.ln_k_gain"], params["ptr.ln_k_bias"])
+    return _pointer_branch(E, params, "k")
 
 
 def pointer_step(h: Tensor, E: Tensor, visited: np.ndarray, params: ModelParams,
@@ -214,8 +226,7 @@ def pointer_step(h: Tensor, E: Tensor, visited: np.ndarray, params: ModelParams,
     visited = np.asarray(visited, dtype=bool)
     if visited.all():
         raise DomainError("pointer_step: all nodes already visited")
-    q = ad.layer_norm(ad.matmul(ad.relu(ad.matmul(h, params["ptr.FC1_q"])), params["ptr.FC2_q"]),
-                      params["ptr.ln_q_gain"], params["ptr.ln_q_bias"])
+    q = _pointer_branch(h, params, "q")
     if keys is None:
         keys = pointer_keys(E, params)
     logits = ad.pointer_logits(keys, q, params["ptr.v"])
@@ -244,7 +255,7 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     visited = np.zeros(n, dtype=bool)
     visited[start] = True
     tour = [start]
-    total = None
+    terms = []
     for step in range(1, n):
         h = gru_step(h, ad.gather_rows(E, [tour[-1]]), params)
         logp = pointer_step(h, E, visited, params, keys=keys)
@@ -256,11 +267,10 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
             probs = np.exp(logp.data[0])
             probs = probs / probs.sum()
             j = int(rng.choice(n, p=probs))
-        term = ad.pick(logp, 0, j)
-        total = term if total is None else ad.add(total, term)
+        terms.append(ad.pick(logp, 0, j))
         visited[j] = True
         tour.append(j)
-    return tour, (Tensor(0.0) if total is None else total)
+    return tour, (ad.add(*terms) if terms else Tensor(0.0))
 
 
 def decode_tape(E: Tensor, start: int, params: ModelParams, greedy: bool,
@@ -303,8 +313,6 @@ def reinforce_loss(log_probs, lengths, baseline: float) -> Tensor:
         raise DomainError("reinforce_loss: batch size mismatch")
     if not all(np.isfinite(lengths)):
         raise DomainError("reinforce_loss: non-finite tour length")
-    total = None
-    for lp, length in zip(log_probs, lengths):
-        term = ad.scale(lp, float(length) - baseline)
-        total = term if total is None else ad.add(total, term)
+    total = ad.add(*(ad.scale(lp, float(length) - baseline)
+                     for lp, length in zip(log_probs, lengths)))
     return ad.scale(total, 1.0 / len(log_probs))

@@ -44,6 +44,11 @@ class TrainConfig:
             raise DomainError("epochs, batch_size and samples_per_route must be >= 1")
         if not 0.0 <= self.baseline_decay < 1.0:
             raise DomainError("baseline_decay must lie in [0, 1)")
+        if not 0.0 < self.lr < float("inf"):
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
+        if not self.max_grad_norm >= 0.0:
+            raise DomainError(f"max_grad_norm {self.max_grad_norm} is not >= 0 (0: no clipping)")
+        self.model_config()  # checks hidden_dim and dropout
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(hidden_dim=self.hidden_dim, dropout=self.dropout)

@@ -35,6 +35,20 @@ def test_add_mul_broadcast_grads():
     check(lambda: ad.tsum(ad.mul(a, b)), [a, b])
 
 
+def test_add_of_three_terms_is_one_node_equal_to_the_chain():
+    a, b, c = rand((3, 4), 5), rand((1, 4), 6), rand((3, 1), 9)
+    check(lambda: ad.tsum(ad.add(a, b, c)), [a, b, c])
+    summed = ad.add(a, b, c)
+    assert summed._parents == (a, b, c)
+    assert np.array_equal(summed.data, ad.add(ad.add(a, b), c).data)
+    grads = backward(ad.tsum(ad.mul(summed, summed)), [a, b, c])
+    chained = ad.add(ad.add(a, b), c)
+    chain_grads = backward(ad.tsum(ad.mul(chained, chained)), [a, b, c])
+    for g, h in zip(grads, chain_grads):
+        assert np.array_equal(g, h)
+    assert ad.add(a) is a
+
+
 def test_scale_concat_gather_reshape_transpose():
     a, b = rand((3, 2), 7), rand((3, 3), 8)
     check(lambda: ad.tsum(ad.scale(a, -2.5)), [a])
@@ -130,8 +144,9 @@ def test_masked_log_softmax_grad_and_values():
 
 def test_dropout_modes():
     a = rand((50, 20), 15)
-    out = ad.dropout(a, 0.3, None, training=False)
-    assert np.array_equal(out.data, a.data)
+    # the identity adds no node: inference mode, or training at rate 0
+    assert ad.dropout(a, 0.3, None, training=False) is a
+    assert ad.dropout(a, 0.0, None, training=True) is a
     rng = make_rng(0)
     out = ad.dropout(a, 0.3, rng, training=True)
     kept = out.data != 0
@@ -194,3 +209,5 @@ def test_clip_global_norm():
 def test_make_rng_deterministic():
     assert make_rng(42).integers(0, 1 << 30) == make_rng(42).integers(0, 1 << 30)
     assert make_rng(1).integers(0, 1 << 30) != make_rng(2).integers(0, 1 << 30)
+    with pytest.raises(DomainError, match="non-negative"):
+        make_rng(-1)

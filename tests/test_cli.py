@@ -358,6 +358,54 @@ def test_corrupted_input_exits_2_naming_it(general_run, probe, capsys):
     assert_data_error_naming(tmp_path / named, capsys)
 
 
+def bad_value_argv(case, run):
+    """Arguments of a CLI call on a `general_run` directory that meets one bad
+    config value, seed or route directory."""
+    tmp_path, routes, zones, _, tours = run
+    out = str(tmp_path / "out")
+    if case == "synth-seed--1":
+        cfg = write_config(tmp_path / "s.cfg", n_routes=2, seed=-1)
+        return ["synth", "--config", cfg, "--out", out]
+    if case == "zones-seed--1":
+        return ["zones", "--routes", routes, "--k", "1", "--seed", "-1", "--out", out]
+    if case == "eval-without-sequences":
+        os.remove(os.path.join(routes, "actual_sequences.json"))
+        return stage_argv("eval", run)
+    key, value = {"hidden-dim-0": ("hidden_dim", 0),
+                  "max-grad-norm-nan": ("max_grad_norm", "nan")}[case]
+    cfg = write_config(tmp_path / "t.cfg", epochs=1, **{key: value})
+    return ["train", "--strategy", "general", "--routes", routes, "--config", cfg,
+            "--out", out]
+
+
+@pytest.mark.parametrize("case", ["synth-seed--1", "zones-seed--1", "hidden-dim-0",
+                                  "max-grad-norm-nan", "eval-without-sequences"])
+def test_bad_value_exits_2_with_one_line(general_run, case, capsys):
+    argv = bad_value_argv(case, general_run)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if case == "eval-without-sequences":
+        assert general_run[1] in err
+
+
+def test_general_training_with_zones_writes_their_grid(general_run):
+    tmp_path, routes, zones, gdir, _ = general_run
+    # move the zoning's origin off the routes' mean, where the default grid sits
+    rewrite_json(zones, lambda d: d["grid"].update(ref_edge_m=2 * d["grid"]["ref_edge_m"],
+                                                   origin_lat=d["grid"]["origin_lat"] + 0.01))
+    out = str(tmp_path / "gz")
+    assert cli.main(["train", "--strategy", "general", "--routes", routes, "--zones", zones,
+                     "--config", str(tmp_path / "train.cfg"), "--out", out]) == 0
+    with open(os.path.join(out, "grid.json")) as fh, open(zones) as zfh:
+        grid = json.load(fh)
+        assert grid == json.load(zfh)["grid"]
+    with open(os.path.join(gdir, "grid.json")) as fh:
+        assert grid != json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def shared_run(tmp_path_factory):
     """A `general_run` built once for the tests that only read it."""

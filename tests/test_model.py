@@ -52,6 +52,14 @@ def test_param_shapes_and_layout():
         assert np.array_equal(params[n].data, again[n].data)
 
 
+@pytest.mark.parametrize("bad", [dict(hidden_dim=0), dict(hidden_dim=-5),
+                                 dict(dropout=1.0), dict(dropout=-0.1),
+                                 dict(dropout=float("nan"))])
+def test_model_config_rejects_bad_values(bad):
+    with pytest.raises(DomainError):
+        ModelConfig(**bad)
+
+
 def test_param_save_load_roundtrip(tmp_path):
     params = ModelParams.init(CFG8, seed=3)
     big = np.finfo(float).max

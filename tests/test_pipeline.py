@@ -68,6 +68,12 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DomainError):
         TrainConfig(baseline_decay=1.0)
+    for bad in (dict(lr=float("nan")), dict(lr=0.0), dict(lr=float("inf")),
+                dict(max_grad_norm=float("nan")), dict(max_grad_norm=-1.0),
+                dict(hidden_dim=0), dict(hidden_dim=-5), dict(dropout=1.0)):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
+    assert TrainConfig(max_grad_norm=0.0).max_grad_norm == 0.0  # clipping off
 
 
 def test_extract_zone_subroutes_hand_split(spec):

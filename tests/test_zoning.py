@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_route, symmetric_travel
+from zoneroute import zoning
 from zoneroute.errors import DomainError
 from zoneroute.hexgrid import GeoPoint, GridSpec, HexCellId, cell_of, centroid, project
 from zoneroute.zoning import (
@@ -60,6 +61,20 @@ def test_kmeans_deterministic(spec):
     cells = set(near) | set(far)
     z1 = kmeans(cells, k=2, seed=3, spec=spec, resolution=7)
     z2 = kmeans(cells, k=2, seed=3, spec=spec, resolution=7)
+    assert np.array_equal(z1.centroids, z2.centroids)
+    assert z1.cell_to_zone == z2.cell_to_zone
+
+
+def test_kmeans_reseeds_an_empty_cluster(spec, monkeypatch):
+    # k copies of one centre far from every cell: zone 0 takes all the cells,
+    # and no other zone is ever nearest to any cell unless it is reseeded
+    monkeypatch.setattr(zoning, "_kmeanspp_init",
+                        lambda points, k, rng: np.full((k, 2), 1e9))
+    near, far = two_triple_cells(spec)
+    cells = set(near) | set(far)
+    z1 = kmeans(cells, k=3, seed=3, spec=spec, resolution=7)
+    z2 = kmeans(cells, k=3, seed=3, spec=spec, resolution=7)
+    assert min(zone_sizes(z1)) > 0
     assert np.array_equal(z1.centroids, z2.centroids)
     assert z1.cell_to_zone == z2.cell_to_zone
 
