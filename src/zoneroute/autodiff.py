@@ -6,10 +6,12 @@ log-softmax, layer norm, and dropout.  Three fused primitives cover the
 model's hot subgraphs in one node each, with hand-derived backwards:
 `gatv2_scores` (the GATv2 pair scores, broadcast to n x n x d instead of
 gathered), `gru_cell` (a whole GRU update) and `pointer_logits` (the
-additive-attention pointer head).  Every primitive records its parents and
-a local backward closure; `backward` walks the implicit tape in reverse
-topological order.  A finite-difference gradient checker and an Adam step
-with global gradient-norm clipping round the module out.
+additive-attention pointer head); the first and last recompute their
+largest intermediates in backward rather than keep them on the tape.  Every
+primitive records its parents and a local backward closure; `backward`
+walks the implicit tape in reverse topological order.  A finite-difference
+gradient checker and an Adam step with global gradient-norm clipping round
+the module out.
 """
 
 from __future__ import annotations
@@ -351,41 +353,64 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> 
 # ---------------------------------------------------------------------------
 # fused primitives: one node and a hand-derived backward for a whole subgraph
 
+# bytes of one row block of the GATv2 pre-activation: small enough that the
+# block's elementwise passes stay in cache
+_GATV2_BLOCK_BYTES = 256 * 1024
+_GATV2_SLOPE = 0.2
+
+
+def _gatv2_preact(Hd, Hs, w_edge, edge_t) -> np.ndarray:
+    """LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) as a fresh (n, n, d)
+    array, written in row blocks through one block-sized scratch buffer."""
+    n, d = Hd.shape
+    rows = max(1, _GATV2_BLOCK_BYTES // (8 * n * d))
+    act = np.empty((n, n, d))
+    buf = np.empty((min(rows, n), n, d))
+    for i0 in range(0, n, rows):
+        blk = act[i0:i0 + rows]
+        tmp = buf[:len(blk)]
+        np.add(Hd[i0:i0 + rows, None, :], Hs[None, :, :], out=blk)
+        np.multiply(edge_t[i0:i0 + rows, :, None], w_edge, out=tmp)
+        blk += tmp
+        np.multiply(blk, _GATV2_SLOPE, out=tmp)
+        np.maximum(blk, tmp, out=blk)  # LeakyReLU, as 0 < slope < 1
+    return act
+
+
 def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
     """GATv2 pair scores: out[i, j] = attn^T LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] W_edge).
 
     Hd and Hs are (n, d), W_edge is (1, d), attn is (d, 1) and edge_t is a
     constant (n, n) array.  The pre-activation is a broadcast sum over
     (n, n, d), so the backward reduces it with two axis-sums and two
-    contractions over the (i, j) pairs; there is no gather.
+    contractions over the (i, j) pairs; there is no gather.  The node keeps
+    no (n, n, d) array: the backward recomputes the pre-activation, which is
+    safe because nothing writes to a tape's inputs before its backward runs.
     """
     Hd, Hs, W_edge, attn = (_as_tensor(t) for t in (Hd, Hs, W_edge, attn))
     n, d = Hd.shape
-    slope = 0.2
+    slope = _GATV2_SLOPE
     edge_t = np.asarray(edge_t, dtype=np.float64)
     if Hs.shape != (n, d) or W_edge.shape != (1, d) or attn.shape != (d, 1) \
             or edge_t.shape != (n, n):
         raise DomainError(f"gatv2_scores shape mismatch: Hd {Hd.shape}, Hs {Hs.shape}, "
                           f"W_edge {W_edge.shape}, attn {attn.shape}, edge_t {edge_t.shape}")
-    # in-place passes over one scratch buffer: at n ~ 150 each fresh n x n x d
-    # array costs more than the arithmetic done on it
-    act = Hd.data[:, None, :] + Hs.data[None, :, :]
-    buf = edge_t[:, :, None] * W_edge.data[0]
-    act += buf
-    np.multiply(act, slope, out=buf)
-    np.maximum(act, buf, out=act)  # LeakyReLU, as 0 < slope < 1
+    act = _gatv2_preact(Hd.data, Hs.data, W_edge.data[0], edge_t)
     out = (act.reshape(n * n, d) @ attn.data).reshape(n, n)
 
     def backward(g):
-        # act > 0 exactly where the pre-activation is, so act alone suffices
+        act = _gatv2_preact(Hd.data, Hs.data, W_edge.data[0], edge_t)
+        g_attn = (g.reshape(1, n * n) @ act.reshape(n * n, d)).T
+        # act > 0 exactly where the pre-activation is, so act alone suffices;
+        # the same buffer then holds the pre-activation's gradient
         a = attn.data[:, 0]
-        gpre = (act > 0) * ((1.0 - slope) * a)
+        gpre = np.multiply(act > 0, (1.0 - slope) * a, out=act)
         gpre += slope * a
         gpre *= g[:, :, None]
         _accumulate(Hd, gpre.sum(axis=1))
         _accumulate(Hs, gpre.sum(axis=0))
         _accumulate(W_edge, edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d))
-        _accumulate(attn, (g.reshape(1, n * n) @ act.reshape(n * n, d)).T)
+        _accumulate(attn, g_attn)
 
     return _result(out, (Hd, Hs, W_edge, attn), backward)
 
@@ -432,6 +457,8 @@ def pointer_logits(keys, q, v) -> Tensor:
     t = np.tanh(keys.data + q.data)
 
     def backward(g):
+        # recomputed, not kept: one (n, d) array per decode step adds up
+        t = np.tanh(keys.data + q.data)
         gu = (g.T @ v.data.T) * (1.0 - t * t)
         _accumulate(keys, gu)
         _accumulate(q, gu.sum(axis=0, keepdims=True))

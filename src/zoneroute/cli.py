@@ -179,6 +179,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zoneroute",
                      description="Zone-based vs. general route-policy training")
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zones")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="greedy inference over routes")

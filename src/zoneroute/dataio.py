@@ -56,15 +56,19 @@ def read_json(path, parse=None):
 def _atomic_open(path, **open_kwargs):
     """A text file open for writing at a temp path beside `path`, renamed over
     `path` when the block ends, so an interrupted write leaves the previous
-    file as it was."""
+    file as it was.  An OSError opening or renaming the temp file names
+    `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file asked for, not the temp file beside it
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -181,11 +185,14 @@ class SynthConfig:
     def __post_init__(self):
         if not (0.0 <= self.asym < 1.0 and 0.0 <= self.noise < 1.0):
             raise DomainError("asym and noise must lie in [0, 1)")
-        if self.speed_mps <= 0:
-            raise DomainError("speed_mps must be positive")
+        if not 0.0 < self.speed_mps < math.inf:
+            raise DomainError(f"speed_mps must be finite and positive, got {self.speed_mps}")
         if self.n_routes < 1 or self.stops_min < 1 or self.stops_max < self.stops_min:
             raise DomainError("bad synthetic size parameters")
-        if self.n_neighborhoods < 1 or self.metro_radius_m <= 0:
+        if not 0.0 < self.metro_radius_m < math.inf:
+            raise DomainError(f"metro_radius_m must be finite and positive, "
+                              f"got {self.metro_radius_m}")
+        if self.n_neighborhoods < 1:
             raise DomainError("bad neighborhood parameters")
 
 

@@ -199,6 +199,8 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
     Zone trainings share nothing mutable, so they are order-independent and
     may run in a process pool; results are identical for any jobs count.
     """
+    if jobs < 1:
+        raise DomainError(f"train_zone_models: jobs must be >= 1, got {jobs}")
     subroutes = extract_zone_subroutes(routes, zoning)
     if not subroutes:
         raise DomainError("train_zone_models: no zone has a trainable sub-instance")

@@ -100,6 +100,61 @@ def test_pointer_logits_grad():
         ad.pointer_logits(keys, v, v)
 
 
+def _gatv2_single_pass(Hd, Hs, w_edge, attn, edge_t, g):
+    """GATv2 scores and the gradients of Hd, Hs, W_edge and attn for the output
+    gradient g, in one pass over a kept (n, n, d) pre-activation."""
+    n, d = Hd.shape
+    slope = 0.2
+    act = Hd[:, None, :] + Hs[None, :, :]
+    buf = edge_t[:, :, None] * w_edge[0]
+    act += buf
+    np.multiply(act, slope, out=buf)
+    np.maximum(act, buf, out=act)
+    out = (act.reshape(n * n, d) @ attn).reshape(n, n)
+    a = attn[:, 0]
+    gpre = (act > 0) * ((1.0 - slope) * a)
+    gpre += slope * a
+    gpre *= g[:, :, None]
+    return [out, gpre.sum(axis=1), gpre.sum(axis=0),
+            edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d),
+            (g.reshape(1, n * n) @ act.reshape(n * n, d)).T]
+
+
+@pytest.mark.parametrize("n, d, block_bytes", [
+    (1, 4, None), (2, 4, None), (3, 5, None),
+    (7, 3, 1),                   # one row per block
+    (7, 3, 2 * 8 * 7 * 3),       # blocks of 2, 2, 2 and 1 rows
+    (40, 64, None),              # blocks of 12, 12, 12 and 4 rows at the default budget
+])
+def test_blocked_gatv2_scores_are_bit_identical_to_one_pass(monkeypatch, n, d, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", block_bytes)
+    Hd, Hs = rand((n, d), 60), rand((n, d), 61)
+    W_edge, attn = rand((1, d), 62), rand((d, 1), 63)
+    # a transposed view, as the encoder passes it
+    edge_t = make_rng(64).uniform(0, 1, (n, n)).T
+    g = make_rng(65).standard_normal((n, n))
+    out = ad.gatv2_scores(Hd, Hs, W_edge, attn, edge_t)
+    grads = backward(ad.tsum(ad.mul(out, Tensor(g))), [Hd, Hs, W_edge, attn])
+    expected = _gatv2_single_pass(Hd.data, Hs.data, W_edge.data, attn.data, edge_t, g)
+    for got, want in zip([out.data] + grads, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_pointer_logits_recomputed_tanh_is_bit_identical(n):
+    d = 8
+    keys, q, v = rand((n, d), 70), rand((1, d), 71), rand((d, 1), 72)
+    g = make_rng(73).standard_normal((1, n))
+    out = ad.pointer_logits(keys, q, v)
+    grads = backward(ad.tsum(ad.mul(out, Tensor(g))), [keys, q, v])
+    t = np.tanh(keys.data + q.data)
+    gu = (g.T @ v.data.T) * (1.0 - t * t)
+    expected = [(t @ v.data).T, gu, gu.sum(axis=0, keepdims=True), t.T @ g.T]
+    for got, want in zip([out.data] + grads, expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_first_gradient_write_is_a_copy():
     # add passes the same g to both parents; aliasing would let the second
     # accumulation change the first parent's gradient as well

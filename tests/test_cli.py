@@ -358,6 +358,15 @@ def test_corrupted_input_exits_2_naming_it(general_run, probe, capsys):
     assert_data_error_naming(tmp_path / named, capsys)
 
 
+# non-finite synth config values: each must exit 2 naming the config file
+SYNTH_CONFIG_CASES = {
+    "speed-mps-inf": ("speed_mps", "inf"),
+    "speed-mps-nan": ("speed_mps", "nan"),
+    "metro-radius-m-inf": ("metro_radius_m", "inf"),
+    "metro-radius-m-nan": ("metro_radius_m", "nan"),
+}
+
+
 def bad_value_argv(case, run):
     """Arguments of a CLI call on a `general_run` directory that meets one bad
     config value, seed or route directory."""
@@ -371,6 +380,10 @@ def bad_value_argv(case, run):
     if case == "eval-without-sequences":
         os.remove(os.path.join(routes, "actual_sequences.json"))
         return stage_argv("eval", run)
+    if case in SYNTH_CONFIG_CASES:
+        key, value = SYNTH_CONFIG_CASES[case]
+        cfg = write_config(tmp_path / "s.cfg", n_routes=2, **{key: value})
+        return ["synth", "--config", cfg, "--out", out]
     key, value = {"hidden-dim-0": ("hidden_dim", 0),
                   "max-grad-norm-nan": ("max_grad_norm", "nan")}[case]
     cfg = write_config(tmp_path / "t.cfg", epochs=1, **{key: value})
@@ -379,7 +392,8 @@ def bad_value_argv(case, run):
 
 
 @pytest.mark.parametrize("case", ["synth-seed--1", "zones-seed--1", "hidden-dim-0",
-                                  "max-grad-norm-nan", "eval-without-sequences"])
+                                  "max-grad-norm-nan", "eval-without-sequences",
+                                  *SYNTH_CONFIG_CASES])
 def test_bad_value_exits_2_with_one_line(general_run, case, capsys):
     argv = bad_value_argv(case, general_run)
     capsys.readouterr()
@@ -389,6 +403,28 @@ def test_bad_value_exits_2_with_one_line(general_run, case, capsys):
     assert "Traceback" not in err
     if case == "eval-without-sequences":
         assert general_run[1] in err
+    if case in SYNTH_CONFIG_CASES:
+        assert str(general_run[0] / "s.cfg") in err and SYNTH_CONFIG_CASES[case][0] in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_train_jobs_below_one_is_a_usage_error(tmp_path, jobs, capsys):
+    assert cli.main(["train", "--strategy", "zoned", "--routes", str(tmp_path),
+                     "--zones", str(tmp_path / "zones.json"), "--config", str(tmp_path / "t.cfg"),
+                     "--out", str(tmp_path / "z"), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--jobs" in err and err.count("\n") == 1
+
+
+def test_output_in_a_missing_directory_names_the_output(shared_run, capsys):
+    tmp_path, routes, zones, _, tours = shared_run
+    out = tmp_path / "missing" / "report.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", tours, "--zones", zones, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(out) in err and ".tmp" not in err
 
 
 def test_general_training_with_zones_writes_their_grid(general_run):

@@ -1,5 +1,6 @@
 import base64
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,27 @@ def test_encode_training_dropout_is_seeded():
     e3 = encode(g, params, training=True, rng=make_rng(10))
     assert np.array_equal(e1.data, e2.data)
     assert not np.array_equal(e1.data, e3.data)
+
+
+def test_training_tape_keeps_no_pair_sized_array():
+    # the GATv2 pre-activation is (n, n, d), and the pointer's tanh is (n, d)
+    # at every decode step; backward recomputes both instead of keeping them
+    route, g = tiny_graph(n=60, seed=3)
+    params = ModelParams.init(ModelConfig(hidden_dim=64, dropout=0.1), seed=0)
+    pair_bytes = g.n * g.n * 64 * 8
+    rng = make_rng(5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        E = encode(g, params, training=True, rng=rng)
+        encoded = tracemalloc.get_traced_memory()[0] - base
+        tape = decode_tape(E, route.start_index, params, greedy=False, rng=rng)
+        decoded = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape[0]) == g.n == 60
+    assert encoded < pair_bytes
+    assert decoded < 2 * pair_bytes
 
 
 # --- decoding -------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_train_zone_models_jobs_parity():
         assert seq.logs[zone] == par.logs[zone]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_train_zone_models_rejects_jobs_below_one(jobs):
+    routes = small_routes(n_routes=4, seed=12)
+    spec = default_grid_spec(routes)
+    zoning = kmeans(collect_cells(routes, 7, spec), 1, seed=0, spec=spec)
+    with pytest.raises(DomainError, match="jobs"):
+        train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2), jobs=jobs)
+
+
 def test_single_zone_training_runs_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
