@@ -27,20 +27,19 @@ def random_tour(n: int, start: int, rng: np.random.Generator) -> list[int]:
 
 
 def nearest_neighbor(travel: np.ndarray, start: int) -> list[int]:
-    """Greedy construction; ties broken toward the lowest stop index."""
+    """Greedy construction; ties, at +inf too, broken toward the lowest stop index."""
     travel = np.asarray(travel, dtype=np.float64)
     n = travel.shape[0]
     if not 0 <= start < n:
         raise DomainError(f"nearest_neighbor: start {start} out of range")
-    unvisited = set(range(n))
-    unvisited.discard(start)
+    cost = travel.copy()
+    cost[:, start] = np.inf  # visited stops are masked out of every row
     tour = [start]
-    current = start
-    while unvisited:
-        nxt = min(unvisited, key=lambda j: (travel[current, j], j))
-        tour.append(nxt)
-        unvisited.discard(nxt)
-        current = nxt
+    for _ in range(n - 1):
+        row = cost[tour[-1]]
+        nxt = int(np.argmin(row))
+        tour.append(nxt if row[nxt] < np.inf else min(set(range(n)) - set(tour)))
+        cost[:, tour[-1]] = np.inf
     return tour
 
 
@@ -49,26 +48,26 @@ def two_opt(order, travel: np.ndarray) -> list[int]:
 
     Candidate moves reverse order[i..j] for 1 <= i <= j < n, keeping the
     start pinned.  Costs are recomputed under the asymmetric matrix, so
-    reversed arcs are re-priced rather than assumed symmetric.
+    reversed arcs are re-priced rather than assumed symmetric.  One i's moves
+    are rows of one array, each summed by cumsum to the bits of `tour_length`.
     """
     travel = np.asarray(travel, dtype=np.float64)
     n = travel.shape[0]
-    current = list(order)
-    best_len = tour_length(current, travel)
+    best_len = tour_length(order, travel)
+    current = np.array(order, dtype=np.intp)
+    cols = np.arange(n)
     while True:
         best_move = None
-        best_candidate_len = best_len
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                candidate = current[:i] + current[i:j + 1][::-1] + current[j + 1:]
-                cand_len = tour_length(candidate, travel)
-                if cand_len < best_candidate_len - 1e-12:
-                    best_candidate_len = cand_len
-                    best_move = candidate
+        for i in range(1, n - 1):
+            j = np.arange(i + 1, n)[:, None]
+            paths = current[np.where((cols >= i) & (cols <= j), i + j - cols, cols)]
+            lens = np.cumsum(travel[paths[:, :-1], paths[:, 1:]], axis=1)[:, -1]
+            for r in np.flatnonzero(lens < best_len - 1e-12):
+                if lens[r] < best_len - 1e-12:
+                    best_len, best_move = lens[r], paths[r]
         if best_move is None:
-            return current
+            return current.tolist()
         current = best_move
-        best_len = best_candidate_len
 
 
 def brute_force_optimal(travel: np.ndarray, start: int, closed: bool = False):

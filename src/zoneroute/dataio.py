@@ -185,13 +185,14 @@ class SynthConfig:
     def __post_init__(self):
         if not (0.0 <= self.asym < 1.0 and 0.0 <= self.noise < 1.0):
             raise DomainError("asym and noise must lie in [0, 1)")
-        if not 0.0 < self.speed_mps < math.inf:
-            raise DomainError(f"speed_mps must be finite and positive, got {self.speed_mps}")
+        # at 0.1 m/s or faster, every travel time in a metro of 1e6 m stays finite
+        if not 0.1 <= self.speed_mps < math.inf:
+            raise DomainError(f"speed_mps must be finite and at least 0.1, got {self.speed_mps}")
         if self.n_routes < 1 or self.stops_min < 1 or self.stops_max < self.stops_min:
             raise DomainError("bad synthetic size parameters")
-        if not 0.0 < self.metro_radius_m < math.inf:
-            raise DomainError(f"metro_radius_m must be finite and positive, "
-                              f"got {self.metro_radius_m}")
+        # up to 1e6 m keeps a stop 6 sigma out within about 15 degrees of the origin
+        if not 0.0 < self.metro_radius_m <= 1e6:
+            raise DomainError(f"metro_radius_m must lie in (0, 1e6], got {self.metro_radius_m}")
         if self.n_neighborhoods < 1:
             raise DomainError("bad neighborhood parameters")
 

@@ -160,6 +160,8 @@ class ModelParams:
                 raise ValueError(f"{name} holds {len(raw)} bytes, expected {nbytes}")
             # frombuffer views the immutable bytes; parameters must be writable
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{name} holds non-finite values")
         return cls.from_arrays(cfg, arrays)
 
 

@@ -213,6 +213,16 @@ def test_dropout_modes():
     assert np.array_equal(out2.data, ad.dropout(a, 0.3, make_rng(0), True).data)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_data_raises_naming_the_tensor(bad):
+    data = np.ones((2, 3))
+    data[1, 2] = bad
+    with pytest.raises(NumericError, match="gat1.W_edge"):
+        Tensor(data, name="gat1.W_edge")
+    with pytest.raises(NumericError, match="<unnamed>"):
+        Tensor(data)
+
+
 def test_backward_unreachable_param_gets_zeros():
     a, b = rand((2, 2), 16), rand((2, 2), 17)
     g = backward(ad.tsum(a), [a, b])

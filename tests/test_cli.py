@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,7 @@ def assert_data_error_naming(path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err
     assert err.count("\n") == 1
+    return err
 
 
 def test_malformed_route_json_exits_2(workspace, capsys):
@@ -230,6 +233,15 @@ def test_checkpoint_without_config_exits_2(general_run, capsys):
     assert_data_error_naming(ckpt, capsys)
 
 
+def first_value_set_to(value):
+    """An edit of a checkpoint tensor's base64 data that sets its first entry."""
+    def edit(old):
+        data = np.frombuffer(base64.b64decode(old), dtype="<f8").copy()
+        data[0] = value
+        return base64.b64encode(data.tobytes()).decode("ascii")
+    return edit
+
+
 @pytest.mark.parametrize("keys, edit", [
     (["format"], lambda old: 1),
     (["params", 0, "data"], lambda old: "!" + old[1:]),
@@ -237,7 +249,10 @@ def test_checkpoint_without_config_exits_2(general_run, capsys):
     (["params", 1, "shape"], lambda old: old[::-1]),
     (["params", 2, "shape"], None),
     (["params", 2, "data"], None),
-], ids=["format-1", "bad-base64", "truncated-data", "wrong-shape", "no-shape", "no-data"])
+    (["params", 3, "data"], first_value_set_to(np.nan)),
+    (["params", 3, "data"], first_value_set_to(np.inf)),
+], ids=["format-1", "bad-base64", "truncated-data", "wrong-shape", "no-shape", "no-data",
+        "nan-value", "inf-value"])
 def test_malformed_checkpoint_exits_2(general_run, keys, edit, capsys):
     tmp_path, routes, _, gdir, _ = general_run
     ckpt = os.path.join(gdir, "general.ckpt.json")
@@ -255,7 +270,9 @@ def test_malformed_checkpoint_exits_2(general_run, keys, edit, capsys):
     capsys.readouterr()
     assert cli.main(["infer", "--strategy", "general", "--routes", routes,
                      "--ckpt", gdir, "--out", str(tmp_path / "t.json")]) == 2
-    assert_data_error_naming(ckpt, capsys)
+    err = assert_data_error_naming(ckpt, capsys)
+    if keys[:2] == ["params", 3]:
+        assert "gat1.W_edge" in err
 
 
 def test_grid_file_missing_key_exits_2(general_run, capsys):
@@ -364,6 +381,9 @@ SYNTH_CONFIG_CASES = {
     "speed-mps-nan": ("speed_mps", "nan"),
     "metro-radius-m-inf": ("metro_radius_m", "inf"),
     "metro-radius-m-nan": ("metro_radius_m", "nan"),
+    "metro-radius-m-1e300": ("metro_radius_m", "1e300"),
+    "metro-radius-m-1.2e7": ("metro_radius_m", "1.2e7"),
+    "speed-mps-1e-320": ("speed_mps", "1e-320"),
 }
 
 
