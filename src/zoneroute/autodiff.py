@@ -7,11 +7,13 @@ model's hot subgraphs in one node each, with hand-derived backwards:
 `gatv2_scores` (the GATv2 pair scores, broadcast to n x n x d instead of
 gathered), `gru_cell` (a whole GRU update) and `pointer_logits` (the
 additive-attention pointer head); the first and last recompute their
-largest intermediates in backward rather than keep them on the tape.  Every
-primitive records its parents and a local backward closure; `backward`
-walks the implicit tape in reverse topological order.  A finite-difference
-gradient checker and an Adam step with global gradient-norm clipping round
-the module out.
+largest intermediates in backward rather than keep them on the tape.  The
+math of these and of the nonlinear primitives lives in plain-array kernels
+(`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
+into bigger nodes of its own.  Every node records its parents and a local
+backward closure; `backward` walks the implicit tape in reverse topological
+order.  A finite-difference gradient checker and an Adam step with global
+gradient-norm clipping round the module out.
 """
 
 from __future__ import annotations
@@ -73,13 +75,18 @@ def _needs(parents) -> bool:
     return any(p.requires_grad for p in parents)
 
 
-def _result(data, parents, backward, name=""):
+def record(data, parents, backward, name=""):
+    """A node holding `data`; `backward(g)` must pass each parent's share of
+    the output gradient `g` to `accumulate`.  Without a parent that needs a
+    gradient, a constant."""
     if _needs(parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward, name=name)
     return Tensor(data, name=name)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def accumulate(t: Tensor, g: np.ndarray):
+    """Add `g` to `t.grad`.  Float addition is not associative, so the bits
+    of a gradient depend on the order of these calls."""
     # the first write copies: g may be a view of another node's gradient
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -98,6 +105,155 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# kernels: the forward and backward math of the primitives on plain arrays.
+# The primitives below wrap them, and `model`'s fused encoder and decoder
+# nodes call them directly, so each formula exists once.  A `*_grad` kernel
+# returns the gradients of its inputs; it writes no `.grad`.
+
+def mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """`x.mean(axis, keepdims=True)` to the bit (numpy's mean is this sum
+    divided by the count), without the wrapper's overhead."""
+    return x.sum(axis=axis, keepdims=True) / x.shape[axis]
+
+
+def relu_fwd(x):
+    return np.maximum(x, 0.0)
+
+
+def relu_grad(g, x):
+    return g * (x > 0).astype(np.float64)
+
+
+def elu_fwd(x):
+    """ELU with alpha = 1."""
+    return np.where(x > 0, x, np.expm1(x))
+
+
+def elu_grad(g, x, y):
+    return g * np.where(x > 0, 1.0, y + 1.0)
+
+
+def dropout_keep(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 where dropped, 1 / (1 - rate) elsewhere."""
+    if rng is None:
+        raise DomainError("training-mode dropout requires an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def log_softmax_fwd(x, mask):
+    """Row-wise log-softmax over the mask==True entries; masked entries get
+    NEG_INF.  Returns (logp, softmax)."""
+    shifted = np.where(mask, x, -np.inf)
+    row_max = shifted.max(axis=1, keepdims=True)
+    z = np.where(mask, np.exp(x - row_max), 0.0)
+    denom = z.sum(axis=1, keepdims=True)
+    return np.where(mask, x - row_max - np.log(denom), NEG_INF), z / denom
+
+
+def log_softmax_grad(g, softmax, mask):
+    g = np.where(mask, g, 0.0)
+    return g - softmax * g.sum(axis=1, keepdims=True)
+
+
+def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
+    """Returns (out, y, inv_std): y is x normalized per row, out = y gain + bias."""
+    xc = x - mean(x, 1)
+    inv_std = 1.0 / np.sqrt(mean(xc ** 2, 1) + eps)
+    y = xc * inv_std
+    return y * gain + bias, y, inv_std
+
+
+def layer_norm_grad(g, gain, y, inv_std):
+    """Returns the gradients of (x, gain, bias)."""
+    gy = g * gain
+    return (inv_std * (gy - mean(gy, 1) - y * mean(gy * y, 1)),
+            (g * y).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+
+
+# bytes of one row block of the GATv2 pre-activation: small enough that the
+# block's elementwise passes stay in cache
+_GATV2_BLOCK_BYTES = 256 * 1024
+_GATV2_SLOPE = 0.2
+
+
+def _gatv2_preact(Hd, Hs, w_edge, edge_t) -> np.ndarray:
+    """LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) as a fresh (n, n, d)
+    array, written in row blocks through one block-sized scratch buffer."""
+    n, d = Hd.shape
+    rows = max(1, _GATV2_BLOCK_BYTES // (8 * n * d))
+    act = np.empty((n, n, d))
+    buf = np.empty((min(rows, n), n, d))
+    for i0 in range(0, n, rows):
+        blk = act[i0:i0 + rows]
+        tmp = buf[:len(blk)]
+        np.add(Hd[i0:i0 + rows, None, :], Hs[None, :, :], out=blk)
+        np.multiply(edge_t[i0:i0 + rows, :, None], w_edge, out=tmp)
+        blk += tmp
+        np.multiply(blk, _GATV2_SLOPE, out=tmp)
+        np.maximum(blk, tmp, out=blk)  # LeakyReLU, as 0 < slope < 1
+    return act
+
+
+def gatv2_fwd(Hd, Hs, W_edge, attn, edge_t):
+    """The (n, n) GATv2 pair scores; the pre-activation is dropped."""
+    n, d = Hd.shape
+    return (_gatv2_preact(Hd, Hs, W_edge[0], edge_t).reshape(n * n, d) @ attn).reshape(n, n)
+
+
+def gatv2_grad(g, Hd, Hs, W_edge, attn, edge_t):
+    """Returns the gradients of (Hd, Hs, W_edge, attn), recomputing the
+    pre-activation; one n x n x d buffer holds it and then its gradient."""
+    n, d = Hd.shape
+    slope = _GATV2_SLOPE
+    act = _gatv2_preact(Hd, Hs, W_edge[0], edge_t)
+    g_attn = (g.reshape(1, n * n) @ act.reshape(n * n, d)).T
+    # act > 0 exactly where the pre-activation is, so act alone suffices
+    a = attn[:, 0]
+    gpre = np.multiply(act > 0, (1.0 - slope) * a, out=act)
+    gpre += slope * a
+    gpre *= g[:, :, None]
+    return (gpre.sum(axis=1), gpre.sum(axis=0),
+            edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d), g_attn)
+
+
+def gru_fwd(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
+    """One GRU update on arrays.  Returns (out, (z, r, rh, c)), the second
+    being what `gru_grad` needs."""
+    z = 1.0 / (1.0 + np.exp(-(x @ W_z + h @ U_z + b_z)))
+    r = 1.0 / (1.0 + np.exp(-(x @ W_r + h @ U_r + b_r)))
+    rh = r * h
+    c = np.tanh(x @ W_h + rh @ U_h + b_h)
+    return (1.0 - z) * h + z * c, (z, r, rh, c)
+
+
+def gru_grad(g, h, x, saved, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
+    """Returns the gradients of (h, x) and a tuple of those of the nine
+    weights, in the argument order of `gru_fwd`."""
+    z, r, rh, c = saved
+    g_c = g * z * (1.0 - c * c)
+    g_z = g * (c - h) * z * (1.0 - z)
+    g_rh = g_c @ U_h.T
+    g_r = g_rh * h * r * (1.0 - r)
+    g_h = g * (1.0 - z) + g_rh * r + g_z @ U_z.T + g_r @ U_r.T
+    g_x = g_z @ W_z.T + g_r @ W_r.T + g_c @ W_h.T
+    g_w = tuple(part for gate, inp in ((g_z, h), (g_r, h), (g_c, rh))
+                for part in (x.T @ gate, inp.T @ gate, gate.sum(axis=0, keepdims=True)))
+    return g_h, g_x, g_w
+
+
+def pointer_fwd(keys, q, v):
+    """Additive-attention logits as a (1, n) row: (tanh(keys + q) @ v).T."""
+    return (np.tanh(keys + q) @ v).T
+
+
+def pointer_grad(g, keys, q, v):
+    """Returns the gradients of (keys, q, v), recomputing the (n, d) tanh."""
+    t = np.tanh(keys + q)
+    gu = (g.T @ v.T) * (1.0 - t * t)
+    return gu, gu.sum(axis=0, keepdims=True), t.T @ g.T
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 def add(*terms) -> Tensor:
@@ -110,9 +266,9 @@ def add(*terms) -> Tensor:
 
     def backward(g):
         for t in terms:
-            _accumulate(t, _unbroadcast(g, t.shape))
+            accumulate(t, _unbroadcast(g, t.shape))
 
-    return _result(out, terms, backward)
+    return record(out, terms, backward)
 
 
 def mul(a, b) -> Tensor:
@@ -120,10 +276,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        accumulate(a, _unbroadcast(g * b.data, a.shape))
+        accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def scale(a, c: float) -> Tensor:
@@ -132,9 +288,9 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        _accumulate(a, g * c)
+        accumulate(a, g * c)
 
-    return _result(a.data * c, (a,), backward)
+    return record(a.data * c, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -144,10 +300,10 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
-    return _result(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -157,10 +313,10 @@ def concat_cols(a, b) -> Tensor:
     k = a.shape[1]
 
     def backward(g):
-        _accumulate(a, g[:, :k])
-        _accumulate(b, g[:, k:])
+        accumulate(a, g[:, :k])
+        accumulate(b, g[:, k:])
 
-    return _result(np.hstack([a.data, b.data]), (a, b), backward)
+    return record(np.hstack([a.data, b.data]), (a, b), backward)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -171,9 +327,9 @@ def gather_rows(a, idx) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
-        _accumulate(a, ga)
+        accumulate(a, ga)
 
-    return _result(a.data[idx], (a,), backward)
+    return record(a.data[idx], (a,), backward)
 
 
 def pick(a, i: int, j: int) -> Tensor:
@@ -184,9 +340,9 @@ def pick(a, i: int, j: int) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[i, j] = g[0, 0]
-        _accumulate(a, ga)
+        accumulate(a, ga)
 
-    return _result(a.data[i, j], (a,), backward)
+    return record(a.data[i, j], (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -196,27 +352,27 @@ def reshape(a, shape) -> Tensor:
     old = a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(old))
+        accumulate(a, g.reshape(old))
 
-    return _result(a.data.reshape(shape), (a,), backward)
+    return record(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
 
     def backward(g):
-        _accumulate(a, g.T)
+        accumulate(a, g.T)
 
-    return _result(a.data.T, (a,), backward)
+    return record(a.data.T, (a,), backward)
 
 
 def tsum(a) -> Tensor:
     a = _as_tensor(a)
 
     def backward(g):
-        _accumulate(a, np.full_like(a.data, g[0, 0]))
+        accumulate(a, np.full_like(a.data, g[0, 0]))
 
-    return _result(a.data.sum(), (a,), backward)
+    return record(a.data.sum(), (a,), backward)
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -226,17 +382,17 @@ def tmean(a, axis=None) -> Tensor:
         inv = 1.0 / a.data.size
 
         def backward(g):
-            _accumulate(a, np.full_like(a.data, g[0, 0] * inv))
+            accumulate(a, np.full_like(a.data, g[0, 0] * inv))
 
-        return _result(a.data.mean(), (a,), backward)
+        return record(a.data.mean(), (a,), backward)
     if axis != 0:
         raise DomainError("tmean supports axis=None or axis=0")
     inv = 1.0 / a.shape[0]
 
     def backward(g):
-        _accumulate(a, np.repeat(g, a.shape[0], axis=0) * inv)
+        accumulate(a, np.repeat(g, a.shape[0], axis=0) * inv)
 
-    return _result(a.data.mean(axis=0, keepdims=True), (a,), backward)
+    return record(mean(a.data, 0), (a,), backward)
 
 
 def _unary(a, fn, dfn):
@@ -244,13 +400,18 @@ def _unary(a, fn, dfn):
     out = fn(a.data)
 
     def backward(g):
-        _accumulate(a, g * dfn(a.data, out))
+        accumulate(a, g * dfn(a.data, out))
 
-    return _result(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def relu(a) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64))
+    a = _as_tensor(a)
+
+    def backward(g):
+        accumulate(a, relu_grad(g, a.data))
+
+    return record(relu_fwd(a.data), (a,), backward)
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -260,8 +421,13 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
 
 def elu(a) -> Tensor:
     """ELU with alpha = 1."""
-    return _unary(a, lambda x: np.where(x > 0, x, np.expm1(x)),
-                  lambda x, y: np.where(x > 0, 1.0, y + 1.0))
+    a = _as_tensor(a)
+    out = elu_fwd(a.data)
+
+    def backward(g):
+        accumulate(a, elu_grad(g, a.data, out))
+
+    return record(out, (a,), backward)
 
 
 def tanh(a) -> Tensor:
@@ -295,19 +461,12 @@ def masked_log_softmax(a, mask) -> Tensor:
         raise DomainError(f"mask shape {mask.shape} != tensor shape {a.shape}")
     if not np.all(mask.any(axis=1)):
         raise DomainError("masked_log_softmax: a row has no unmasked entries")
-
-    shifted = np.where(mask, a.data, -np.inf)
-    row_max = shifted.max(axis=1, keepdims=True)
-    z = np.where(mask, np.exp(a.data - row_max), 0.0)
-    denom = z.sum(axis=1, keepdims=True)
-    logp = np.where(mask, a.data - row_max - np.log(denom), NEG_INF)
-    softmax = z / denom
+    logp, softmax = log_softmax_fwd(a.data, mask)
 
     def backward(g):
-        g_eff = np.where(mask, g, 0.0)
-        _accumulate(a, g_eff - softmax * g_eff.sum(axis=1, keepdims=True))
+        accumulate(a, log_softmax_grad(g, softmax, mask))
 
-    return _result(logp, (a,), backward)
+    return record(logp, (a,), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -316,21 +475,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     k = a.shape[1]
     if gain.shape != (1, k) or bias.shape != (1, k):
         raise DomainError(f"layer_norm gain/bias must be (1, {k})")
-    mu = a.data.mean(axis=1, keepdims=True)
-    xc = a.data - mu
-    var = (xc ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = xc * inv_std
-    out = y * gain.data + bias.data
+    out, y, inv_std = layer_norm_fwd(a.data, gain.data, bias.data, eps)
 
     def backward(g):
-        gy = g * gain.data
-        _accumulate(a, inv_std * (gy - gy.mean(axis=1, keepdims=True)
-                                  - y * (gy * y).mean(axis=1, keepdims=True)))
-        _accumulate(gain, (g * y).sum(axis=0, keepdims=True))
-        _accumulate(bias, g.sum(axis=0, keepdims=True))
+        for t, gt in zip((a, gain, bias), layer_norm_grad(g, gain.data, y, inv_std)):
+            accumulate(t, gt)
 
-    return _result(out, (a, gain, bias), backward)
+    return record(out, (a, gain, bias), backward)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -340,42 +491,16 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> 
         raise DomainError(f"dropout rate {rate} out of [0, 1)")
     if not training or rate == 0.0:
         return a
-    if rng is None:
-        raise DomainError("training-mode dropout requires an rng")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = dropout_keep(a.shape, rate, rng)
 
     def backward(g):
-        _accumulate(a, g * keep)
+        accumulate(a, g * keep)
 
-    return _result(a.data * keep, (a,), backward)
+    return record(a.data * keep, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
 # fused primitives: one node and a hand-derived backward for a whole subgraph
-
-# bytes of one row block of the GATv2 pre-activation: small enough that the
-# block's elementwise passes stay in cache
-_GATV2_BLOCK_BYTES = 256 * 1024
-_GATV2_SLOPE = 0.2
-
-
-def _gatv2_preact(Hd, Hs, w_edge, edge_t) -> np.ndarray:
-    """LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) as a fresh (n, n, d)
-    array, written in row blocks through one block-sized scratch buffer."""
-    n, d = Hd.shape
-    rows = max(1, _GATV2_BLOCK_BYTES // (8 * n * d))
-    act = np.empty((n, n, d))
-    buf = np.empty((min(rows, n), n, d))
-    for i0 in range(0, n, rows):
-        blk = act[i0:i0 + rows]
-        tmp = buf[:len(blk)]
-        np.add(Hd[i0:i0 + rows, None, :], Hs[None, :, :], out=blk)
-        np.multiply(edge_t[i0:i0 + rows, :, None], w_edge, out=tmp)
-        blk += tmp
-        np.multiply(blk, _GATV2_SLOPE, out=tmp)
-        np.maximum(blk, tmp, out=blk)  # LeakyReLU, as 0 < slope < 1
-    return act
-
 
 def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
     """GATv2 pair scores: out[i, j] = attn^T LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] W_edge).
@@ -389,30 +514,18 @@ def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
     """
     Hd, Hs, W_edge, attn = (_as_tensor(t) for t in (Hd, Hs, W_edge, attn))
     n, d = Hd.shape
-    slope = _GATV2_SLOPE
     edge_t = np.asarray(edge_t, dtype=np.float64)
     if Hs.shape != (n, d) or W_edge.shape != (1, d) or attn.shape != (d, 1) \
             or edge_t.shape != (n, n):
         raise DomainError(f"gatv2_scores shape mismatch: Hd {Hd.shape}, Hs {Hs.shape}, "
                           f"W_edge {W_edge.shape}, attn {attn.shape}, edge_t {edge_t.shape}")
-    act = _gatv2_preact(Hd.data, Hs.data, W_edge.data[0], edge_t)
-    out = (act.reshape(n * n, d) @ attn.data).reshape(n, n)
+    inputs = (Hd, Hs, W_edge, attn)
 
     def backward(g):
-        act = _gatv2_preact(Hd.data, Hs.data, W_edge.data[0], edge_t)
-        g_attn = (g.reshape(1, n * n) @ act.reshape(n * n, d)).T
-        # act > 0 exactly where the pre-activation is, so act alone suffices;
-        # the same buffer then holds the pre-activation's gradient
-        a = attn.data[:, 0]
-        gpre = np.multiply(act > 0, (1.0 - slope) * a, out=act)
-        gpre += slope * a
-        gpre *= g[:, :, None]
-        _accumulate(Hd, gpre.sum(axis=1))
-        _accumulate(Hs, gpre.sum(axis=0))
-        _accumulate(W_edge, edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d))
-        _accumulate(attn, g_attn)
+        for t, gt in zip(inputs, gatv2_grad(g, *(t.data for t in inputs), edge_t)):
+            accumulate(t, gt)
 
-    return _result(out, (Hd, Hs, W_edge, attn), backward)
+    return record(gatv2_fwd(*(t.data for t in inputs), edge_t), inputs, backward)
 
 
 def gru_cell(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h) -> Tensor:
@@ -420,51 +533,37 @@ def gru_cell(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h) -> Tensor:
     c = tanh(x W_h + (r * h) U_h + b_h), out = (1 - z) * h + z * c."""
     h, x = _as_tensor(h), _as_tensor(x)
     weights = tuple(_as_tensor(t) for t in (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h))
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = weights
-    hd, xd = h.data, x.data
-    z = 1.0 / (1.0 + np.exp(-(xd @ W_z.data + hd @ U_z.data + b_z.data)))
-    r = 1.0 / (1.0 + np.exp(-(xd @ W_r.data + hd @ U_r.data + b_r.data)))
-    rh = r * hd
-    c = np.tanh(xd @ W_h.data + rh @ U_h.data + b_h.data)
-    out = (1.0 - z) * hd + z * c
+    w = tuple(t.data for t in weights)
+    out, saved = gru_fwd(h.data, x.data, *w)
 
     def backward(g):
-        g_c = g * z * (1.0 - c * c)
-        g_z = g * (c - hd) * z * (1.0 - z)
-        g_rh = g_c @ U_h.data.T
-        g_r = g_rh * hd * r * (1.0 - r)
-        _accumulate(h, g * (1.0 - z) + g_rh * r + g_z @ U_z.data.T + g_r @ U_r.data.T)
-        _accumulate(x, g_z @ W_z.data.T + g_r @ W_r.data.T + g_c @ W_h.data.T)
-        for gate, inp, W, U, b in ((g_z, hd, W_z, U_z, b_z), (g_r, hd, W_r, U_r, b_r),
-                                   (g_c, rh, W_h, U_h, b_h)):
-            _accumulate(W, xd.T @ gate)
-            _accumulate(U, inp.T @ gate)
-            _accumulate(b, gate.sum(axis=0, keepdims=True))
+        g_h, g_x, g_w = gru_grad(g, h.data, x.data, saved, *w)
+        accumulate(h, g_h)
+        accumulate(x, g_x)
+        for t, gt in zip(weights, g_w):
+            accumulate(t, gt)
 
-    return _result(out, (h, x) + weights, backward)
+    return record(out, (h, x) + weights, backward)
 
 
 def pointer_logits(keys, q, v) -> Tensor:
     """Additive-attention logits as a row: (tanh(keys + q) @ v).T.
 
     keys is (n, d), the query q is (1, d) and v is (d, 1); the result is (1, n).
+    The backward recomputes the tanh: one (n, d) array per decode step adds up.
     """
     keys, q, v = _as_tensor(keys), _as_tensor(q), _as_tensor(v)
     n, d = keys.shape
     if q.shape != (1, d) or v.shape != (d, 1):
         raise DomainError(f"pointer_logits shape mismatch: keys {keys.shape}, "
                           f"q {q.shape}, v {v.shape}")
-    t = np.tanh(keys.data + q.data)
+    inputs = (keys, q, v)
 
     def backward(g):
-        # recomputed, not kept: one (n, d) array per decode step adds up
-        t = np.tanh(keys.data + q.data)
-        gu = (g.T @ v.data.T) * (1.0 - t * t)
-        _accumulate(keys, gu)
-        _accumulate(q, gu.sum(axis=0, keepdims=True))
-        _accumulate(v, t.T @ g.T)
+        for t, gt in zip(inputs, pointer_grad(g, keys.data, q.data, v.data)):
+            accumulate(t, gt)
 
-    return _result((t @ v.data).T, (keys, q, v), backward)
+    return record(pointer_fwd(keys.data, q.data, v.data), inputs, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ def _parse_config_file(path, cls):
         key, raw = key.strip(), raw.strip()
         if key not in fields:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} given twice")
         try:
             if fields[key] in ("int", int):
                 values[key] = int(raw)

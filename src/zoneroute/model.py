@@ -7,6 +7,11 @@ each step with the last selected node's embedding, and points at the next
 unvisited node through a tanh attention head whose query/key branches are
 two FC layers with a ReLU in between, layer-normalized before the tanh.
 Training uses REINFORCE with a moving-average baseline.
+
+On the autodiff tape, `encode` and each decoder rollout are one node apiece,
+computed with `autodiff`'s plain-array kernels.  Their backwards give every
+gradient the bits the one-node-per-operation composition of `gatv2_layer`,
+`gru_step` and `pointer_step` gives it.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import read_json, write_json
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .routegraph import N_FEATURES, ZONE_LABEL_BUCKETS, RouteGraph, tour_length
 
 ZONE_EMBED_DIM = 16
+_GAT_PARAMS = ("W_src", "W_dst", "W_edge", "attn", "ln_gain", "ln_bias")
 CHECKPOINT_FORMAT = 2
 
 
@@ -191,31 +197,107 @@ def gatv2_layer(H: Tensor, edge_w: np.ndarray, params: ModelParams, layer: int) 
 
 def encode(g: RouteGraph, params: ModelParams, training: bool = False,
            rng: np.random.Generator | None = None) -> Tensor:
-    """Node embeddings: [features || zone embedding] through the 3-layer stack."""
-    X = ad.concat_cols(Tensor(g.features), ad.gather_rows(params["zone_embed"], g.zone_label_idx))
-    H = X
+    """Node embeddings: [features || zone embedding] through the 3-layer stack.
+
+    One tape node: the forward is `gatv2_layer`, layer norm, ELU and dropout
+    on plain arrays, and the backward hands each parameter its gradient.
+    Each parameter gets one contribution, so no order is at stake.
+    """
+    n = g.features.shape[0]
+    if g.edge_w.shape != (n, n):
+        raise DomainError(f"edge_w shape {g.edge_w.shape} != ({n}, {n})")
     rate = params.config.dropout
-    for layer in (1, 2, 3):
-        H = gatv2_layer(H, g.edge_w, params, layer)
-        H = ad.layer_norm(H, params[f"gat{layer}.ln_gain"], params[f"gat{layer}.ln_bias"])
+    embed = params["zone_embed"]
+    idx = np.asarray(g.zone_label_idx, dtype=np.int64)
+    n_feat = g.features.shape[1]
+    edge_t = g.edge_w.T
+    every_pair = np.ones((n, n), dtype=bool)
+    layers = [[params[f"gat{layer}.{name}"] for name in _GAT_PARAMS] for layer in (1, 2, 3)]
+    H = np.hstack([np.asarray(g.features, dtype=np.float64), embed.data[idx]])
+    saved = []
+    for layer, (W_src, W_dst, W_edge, attn, gain, bias) in enumerate(layers, 1):
+        Hs, Hd = H @ W_src.data, H @ W_dst.data
+        logp, softmax = ad.log_softmax_fwd(
+            ad.gatv2_fwd(Hd, Hs, W_edge.data, attn.data, edge_t), every_pair)
+        alpha = np.exp(logp)
+        out, y, inv_std = ad.layer_norm_fwd(alpha @ Hs, gain.data, bias.data)
+        act = keep = None
         if layer < 3:
-            H = ad.dropout(ad.elu(H), rate, rng, training)
-    return H
+            act = ad.elu_fwd(out)
+            if training and rate > 0.0:
+                keep = ad.dropout_keep(act.shape, rate, rng)
+            H_next = act if keep is None else act * keep
+        else:
+            H_next = out
+        saved.append((H, Hs, Hd, softmax, alpha, y, inv_std, out, act, keep))
+        H = H_next
+
+    def backward(g_out):
+        g_H = g_out
+        for (W_src, W_dst, W_edge, attn, gain, bias), (
+                H, Hs, Hd, softmax, alpha, y, inv_std, out, act, keep) in zip(
+                reversed(layers), reversed(saved)):
+            if act is not None:
+                if keep is not None:
+                    g_H = g_H * keep
+                g_H = ad.elu_grad(g_H, out, act)
+            g_A, g_gain, g_bias = ad.layer_norm_grad(g_H, gain.data, y, inv_std)
+            g_scores = ad.log_softmax_grad((g_A @ Hs.T) * alpha, softmax, every_pair)
+            g_Hd, g_Hs, g_edge, g_attn = ad.gatv2_grad(
+                g_scores, Hd, Hs, W_edge.data, attn.data, edge_t)
+            g_Hs += alpha.T @ g_A
+            g_H = g_Hs @ W_src.data.T + g_Hd @ W_dst.data.T
+            for p, gp in ((W_src, H.T @ g_Hs), (W_dst, H.T @ g_Hd), (W_edge, g_edge),
+                          (attn, g_attn), (gain, g_gain), (bias, g_bias)):
+                ad.accumulate(p, gp)
+        g_embed = np.zeros_like(embed.data)
+        np.add.at(g_embed, idx, g_H[:, n_feat:])
+        ad.accumulate(embed, g_embed)
+
+    return ad.record(H, [embed] + [p for ps in layers for p in ps], backward)
 
 
 # ---------------------------------------------------------------------------
 # decoder
 
+def _gru_params(params: ModelParams):
+    return [params[f"gru.{kind}_{gate}"] for gate in ("z", "r", "h") for kind in ("W", "U", "b")]
+
+
 def gru_step(h: Tensor, x: Tensor, params: ModelParams) -> Tensor:
-    return ad.gru_cell(h, x, *(params[f"gru.{kind}_{gate}"]
-                               for gate in ("z", "r", "h") for kind in ("W", "U", "b")))
+    return ad.gru_cell(h, x, *_gru_params(params))
+
+
+def _branch_params(params: ModelParams, side: str):
+    return [params[f"ptr.{name}"] for name in
+            (f"FC1_{side}", f"FC2_{side}", f"ln_{side}_gain", f"ln_{side}_bias")]
 
 
 def _pointer_branch(x: Tensor, params: ModelParams, side: str) -> Tensor:
     """layer_norm(relu(x FC1) FC2): the query ("q") or key ("k") branch."""
-    hidden = ad.relu(ad.matmul(x, params[f"ptr.FC1_{side}"]))
-    return ad.layer_norm(ad.matmul(hidden, params[f"ptr.FC2_{side}"]),
-                         params[f"ptr.ln_{side}_gain"], params[f"ptr.ln_{side}_bias"])
+    FC1, FC2, gain, bias = _branch_params(params, side)
+    return ad.layer_norm(ad.matmul(ad.relu(ad.matmul(x, FC1)), FC2), gain, bias)
+
+
+def _branch_fwd(x: np.ndarray, weights):
+    """`_pointer_branch` on arrays: returns (out, what `_branch_grad` needs)."""
+    FC1, FC2, gain, bias = (w.data for w in weights)
+    pre = x @ FC1
+    hidden = ad.relu_fwd(pre)
+    out, y, inv_std = ad.layer_norm_fwd(hidden @ FC2, gain, bias)
+    return out, (pre, hidden, y, inv_std)
+
+
+def _branch_grad(g, x: np.ndarray, weights, saved):
+    """Hands the branch's four weights their gradients; returns x's."""
+    FC1, FC2, gain, bias = weights
+    pre, hidden, y, inv_std = saved
+    g_normed, g_gain, g_bias = ad.layer_norm_grad(g, gain.data, y, inv_std)
+    g_pre = ad.relu_grad(g_normed @ FC2.data.T, pre)
+    for p, gp in ((gain, g_gain), (bias, g_bias), (FC2, hidden.T @ g_normed),
+                  (FC1, x.T @ g_pre)):
+        ad.accumulate(p, gp)
+    return g_pre @ FC1.data.T
 
 
 def pointer_keys(E: Tensor, params: ModelParams) -> Tensor:
@@ -242,37 +324,92 @@ class DecodeResult:
     length: float
 
 
-def _init_state(E: Tensor, params: ModelParams) -> Tensor:
-    return ad.tanh(ad.matmul(ad.tmean(E, axis=0), params["dec.W_init"]))
-
-
 def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
                  greedy: bool = True, rng: np.random.Generator | None = None):
     """The decoder loop.  Each step follows `forced` when a tour is given,
     else takes the argmax (greedy) or a draw from `rng`.  Returns
-    (tour, summed log-prob Tensor)."""
+    (tour, summed log-prob Tensor).
+
+    The rollout is one tape node: the initial state tanh(mean(E) W_init),
+    the pointer keys and every GRU and pointer step, run as `gru_step` and
+    `pointer_step` would on arrays.  Parameters and E take several
+    contributions each, and float addition is not associative, so the
+    backward hands them over one by one in the order the per-operation tape
+    did: the pointer heads in step order, the key branch (E's first), the
+    GRU from the last step back, W_init and the mean into E, then the
+    gathered rows into E.
+    """
     n = E.shape[0]
-    h = _init_state(E, params)
-    keys = pointer_keys(E, params)
+    tour = [start]
+    if n == 1:
+        return tour, Tensor(0.0)
+    Ed = E.data
+    gru_w = _gru_params(params)
+    gru_data = [w.data for w in gru_w]
+    q_w, k_w = _branch_params(params, "q"), _branch_params(params, "k")
+    v, W_init = params["ptr.v"], params["dec.W_init"]
+    E_mean = ad.mean(Ed, 0)
+    h0 = np.tanh(E_mean @ W_init.data)
+    keys, k_saved = _branch_fwd(Ed, k_w)
     visited = np.zeros(n, dtype=bool)
     visited[start] = True
-    tour = [start]
-    terms = []
+    h, total, steps = h0, None, []
     for step in range(1, n):
-        h = gru_step(h, ad.gather_rows(E, [tour[-1]]), params)
-        logp = pointer_step(h, E, visited, params, keys=keys)
+        x = Ed[[tour[-1]]]
+        h_next, gru_saved = ad.gru_fwd(h, x, *gru_data)
+        q, q_saved = _branch_fwd(h_next, q_w)
+        mask = ~visited.reshape(1, -1)
+        logp, softmax = ad.log_softmax_fwd(ad.pointer_fwd(keys, q, v.data), mask)
+        if not np.isfinite(logp).all():
+            raise NumericError("non-finite pointer log-probabilities")
         if forced is not None:
             j = forced[step]
         elif greedy:
-            j = int(np.argmax(logp.data[0]))
+            j = int(np.argmax(logp[0]))
         else:
-            probs = np.exp(logp.data[0])
+            probs = np.exp(logp[0])
             probs = probs / probs.sum()
             j = int(rng.choice(n, p=probs))
-        terms.append(ad.pick(logp, 0, j))
+        total = logp[0, j] if total is None else total + logp[0, j]
+        steps.append((h, x, gru_saved, h_next, q, q_saved, mask, softmax, j))
+        h = h_next
         visited[j] = True
         tour.append(j)
-    return tour, (ad.add(*terms) if terms else Tensor(0.0))
+
+    def backward(g):
+        g_keys, g_h = None, []
+        for h, x, gru_saved, h_next, q, q_saved, mask, softmax, j in steps:
+            g_lp = np.zeros((1, n))
+            g_lp[0, j] = g[0, 0]
+            g_keys_t, g_q, g_v = ad.pointer_grad(
+                ad.log_softmax_grad(g_lp, softmax, mask), keys, q, v.data)
+            if g_keys is None:
+                g_keys = g_keys_t
+            else:
+                g_keys += g_keys_t
+            ad.accumulate(v, g_v)
+            g_h.append(_branch_grad(g_q, h_next, q_w, q_saved))
+        g_E_keys = _branch_grad(g_keys, Ed, k_w, k_saved)
+        g_x = [None] * len(steps)
+        g_prev = None
+        for t in reversed(range(len(steps))):
+            h, x, gru_saved = steps[t][:3]
+            g_t = g_h[t] if g_prev is None else g_h[t] + g_prev
+            g_prev, g_x[t], g_w = ad.gru_grad(g_t, h, x, gru_saved, *gru_data)
+            for p, gp in zip(gru_w, g_w):
+                ad.accumulate(p, gp)
+        g_pre = g_prev * (1.0 - h0 * h0)
+        ad.accumulate(W_init, E_mean.T @ g_pre)
+        ad.accumulate(E, g_E_keys)
+        ad.accumulate(E, np.repeat(g_pre @ W_init.data.T, n, axis=0) * (1.0 / n))
+        # each row is gathered once, so one array adds the bits of one
+        # gather at a time (0.0 + g into zeros, as the gather did)
+        g_rows = np.zeros_like(Ed)
+        g_rows[tour[:-1]] += np.vstack(g_x)
+        ad.accumulate(E, g_rows)
+
+    params_used = gru_w + q_w + k_w + [v, W_init]
+    return tour, ad.record(total, [E] + params_used, backward)
 
 
 def decode_tape(E: Tensor, start: int, params: ModelParams, greedy: bool,

@@ -39,6 +39,9 @@ class Zoning:
             raise DomainError("zoning: non-finite centroid")
         if any(not 0 <= zone < self.k for zone in self.cell_to_zone.values()):
             raise DomainError(f"zoning: a cell's zone id lies outside [0, {self.k})")
+        if any(cell.resolution != self.resolution for cell in self.cell_to_zone):
+            raise DomainError(f"zoning: a cell's resolution differs from resolution "
+                              f"{self.resolution}")
 
 
 def collect_cells(routes: list[Route], resolution: int, spec: GridSpec) -> set[HexCellId]:

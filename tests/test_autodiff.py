@@ -236,12 +236,19 @@ def test_grad_check_detects_corruption():
         y = np.tanh(x.data)
 
         def bwd(g):
-            ad._accumulate(x, g * (1.0 - 0.5 * y * y))  # wrong derivative
+            ad.accumulate(x, g * (1.0 - 0.5 * y * y))  # wrong derivative
 
         return Tensor(y, requires_grad=True, parents=(x,), backward=bwd)
 
     a = rand((3, 3), 18)
     assert grad_check(lambda: ad.tsum(bad_tanh(a)), [a]) > 1e-2
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 64), (7, 64), (151, 64)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mean_kernel_has_the_bits_of_numpy_mean(shape, axis):
+    x = make_rng(sum(shape) + axis).standard_normal(shape) * 1e3
+    assert ad.mean(x, axis).tobytes() == x.mean(axis=axis, keepdims=True).tobytes()
 
 
 # --- optimizer ----------------------------------------------------------------

@@ -125,6 +125,17 @@ def test_usage_errors_exit_1(workspace, capsys):
     capsys.readouterr()
 
 
+def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_routes = 2\nseed = 1\nn_routes = 3\n")
+    out = tmp_path / "r"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{cfg}:3" in err and "n_routes" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "t.cfg", epochs=1)
     assert cli.main(["train", "--strategy", "general",
@@ -354,6 +365,12 @@ CONTRACT_PROBES = {
                    "eval", "zones.json"),
     "zone-id-99": ("zones.json", rewritten(lambda d: set_first(d["cells"], 99)),
                    "eval", "zones.json"),
+    # a resolution other than the cells' would send every stop to the
+    # nearest-centroid fallback
+    "zones-resolution-8": ("zones.json", rewritten(lambda d: d.update(resolution=8)),
+                           "eval", "zones.json"),
+    "zoned-ckpt-zones-resolution-8": ("z/zones.json", rewritten(lambda d: d.update(resolution=8)),
+                                      "infer-zoned", "z/zones.json"),
     "zone-file-missing": ("z/zones/zone_0.ckpt.json", os.remove,
                           "infer-zoned", "z/zones/zone_0.ckpt.json"),
     "manifest-zone-id-x": ("z/zones/manifest.json", rewritten(lambda d: d.update(zones=["x"])),

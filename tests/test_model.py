@@ -1,6 +1,7 @@
 import base64
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from zoneroute.model import (
 )
 from zoneroute.routegraph import RouteGraph, build_graph
 from zoneroute import dataio, model, pipeline
+
+import tape_reference
 
 CFG8 = ModelConfig(hidden_dim=8, dropout=0.0)
 
@@ -227,6 +230,58 @@ def test_training_tape_keeps_no_pair_sized_array():
     assert len(tape[0]) == g.n == 60
     assert encoded < pair_bytes
     assert decoded < 2 * pair_bytes
+
+
+def _graph_of_size(n, seed):
+    """tiny_graph, or for n = 1 its start node alone."""
+    if n > 1:
+        return tiny_graph(n=n, seed=seed)
+    route, g = tiny_graph(n=2, seed=seed)
+    s = g.start
+    return (SimpleNamespace(n=1, start_index=0),
+            RouteGraph(n=1, features=g.features[[s]], zone_label_idx=g.zone_label_idx[[s]],
+                       edge_w=np.zeros((1, 1)), start=0, points=g.points[[s]]))
+
+
+def _batch_tape(encode_fn, decode_fn, graphs, params, mode):
+    """Tours, log-probs and the gradients of every parameter and of each E for
+    a REINFORCE loss over two routes with two rollouts each, encoded in
+    training mode."""
+    rng = make_rng(3)
+    Es, tours, log_probs = [], [], []
+    for route, g in graphs:
+        E = encode_fn(g, params, training=True, rng=rng)
+        Es.append(E)
+        for _ in range(2):
+            if mode == "forced":
+                others = [i for i in range(route.n) if i != route.start_index]
+                forced = [route.start_index] + others[::-1]
+                tour, lp = decode_fn(E, route.start_index, params, forced=forced)
+            else:
+                tour, lp = decode_fn(E, route.start_index, params,
+                                     greedy=mode == "greedy", rng=rng)
+            tours.append(tour)
+            log_probs.append(lp)
+    loss = reinforce_loss(log_probs, [3.0, 1.0, 2.5, 0.5], baseline=1.5)
+    grads = ad.backward(loss, params.as_list() + Es)
+    return tours, [lp.data for lp in log_probs], grads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 40, 151])
+def test_fused_nodes_match_the_tape_composition(n):
+    graphs = [_graph_of_size(n, seed=n), _graph_of_size(n, seed=n + 100)]
+    for dropout in (0.0, 0.2):
+        params = ModelParams.init(ModelConfig(hidden_dim=8, dropout=dropout), seed=n)
+        for mode in ("greedy", "sampled", "forced"):
+            tours, lps, grads = _batch_tape(model.encode, model._run_decoder,
+                                            graphs, params, mode)
+            ref_tours, ref_lps, ref_grads = _batch_tape(
+                tape_reference.encode, tape_reference.run_decoder, graphs, params, mode)
+            assert tours == ref_tours
+            assert all(np.array_equal(a, b) for a, b in zip(lps, ref_lps))
+            names = params.names() + ["E0", "E1"]
+            for name, a, b in zip(names, grads, ref_grads):
+                assert np.array_equal(a, b), (dropout, mode, name)
 
 
 # --- decoding -------------------------------------------------------------------

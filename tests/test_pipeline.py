@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zoneroute import model, pipeline
 from zoneroute.baselines import nearest_neighbor
 from zoneroute.dataio import SynthConfig, generate_synthetic
 from zoneroute.errors import DataError, DomainError
@@ -29,6 +30,7 @@ from zoneroute.pipeline import (
 from zoneroute.routegraph import Route, tour_length
 from zoneroute.zoning import Zoning, collect_cells, kmeans, stops_by_zone, zone_of_stop
 
+import tape_reference
 from conftest import make_route, symmetric_travel
 
 
@@ -137,6 +139,24 @@ def test_train_general_smoke_and_determinism():
     assert log == log2
     with pytest.raises(DomainError):
         train_general([], cfg, spec)
+
+
+def test_training_is_byte_identical_to_the_tape_composition(monkeypatch):
+    # minibatches of two routes with two sampled rollouts each, one route
+    # with a random start, dropout on: the fused encoder and decoder nodes
+    # must hand every gradient the bits of the one-node-per-operation tape
+    routes = small_routes()
+    spec = default_grid_spec(routes)
+    cfg = TrainConfig(epochs=2, batch_size=2, samples_per_route=2, hidden_dim=8,
+                      dropout=0.2, seed=6)
+    random_ids = frozenset({routes[2].id})
+    fused, fused_log = train_general(routes, cfg, spec, random_start_ids=random_ids)
+    monkeypatch.setattr(pipeline, "encode", tape_reference.encode)
+    monkeypatch.setattr(model, "_run_decoder", tape_reference.run_decoder)
+    taped, taped_log = train_general(routes, cfg, spec, random_start_ids=random_ids)
+    assert fused_log == taped_log
+    for name in fused.names():
+        assert np.array_equal(fused[name].data, taped[name].data), name
 
 
 def test_zoned_k1_matches_general_bit_exactly():

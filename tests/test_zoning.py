@@ -105,6 +105,12 @@ def test_zoning_rejects_zone_ids_outside_k(spec):
                    cell_to_zone={HexCellId(7, 0, 0): zone})
 
 
+def test_zoning_rejects_cells_of_another_resolution(spec):
+    with pytest.raises(DomainError, match="resolution"):
+        Zoning(spec=spec, resolution=8, k=1, seed=0, centroids=np.zeros((1, 2)),
+               cell_to_zone={HexCellId(7, 0, 0): 0})
+
+
 def test_zone_of_point_unmapped_cell_falls_back(spec):
     near, far = two_triple_cells(spec)
     z = kmeans(set(near) | set(far), k=2, seed=7, spec=spec, resolution=7)
