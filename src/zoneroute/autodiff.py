@@ -2,18 +2,17 @@
 
 Just enough machinery for the route policy: matmul, broadcast add/mul,
 concat/gather/reshape/pick, the activations the model uses, masked
-log-softmax, layer norm, and dropout.  Three fused primitives cover the
-model's hot subgraphs in one node each, with hand-derived backwards:
-`gatv2_scores` (the GATv2 pair scores, broadcast to n x n x d instead of
-gathered), `gru_cell` (a whole GRU update) and `pointer_logits` (the
-additive-attention pointer head); the first and last recompute their
-largest intermediates in backward rather than keep them on the tape.  The
-math of these and of the nonlinear primitives lives in plain-array kernels
+log-softmax, layer norm, and dropout.  Two fused primitives cover a
+subgraph in one node each, with hand-derived backwards: `gru_cell` (a whole
+GRU update) and `pointer_logits` (the additive-attention pointer head,
+whose backward recomputes its tanh).  The math of these, of the nonlinear
+primitives and of the GATv2 pair scores lives in plain-array kernels
 (`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
-into bigger nodes of its own.  Every node records its parents and a local
-backward closure; `backward` walks the implicit tape in reverse topological
-order.  A finite-difference gradient checker and an Adam step with global
-gradient-norm clipping round the module out.
+into bigger nodes of its own.  Every primitive is its forward value plus a
+function returning its inputs' gradients, made a node by `_node`, which
+hands them over in input order; `backward` walks the implicit tape in
+reverse topological order.  A finite-difference gradient checker and an
+Adam step with global gradient-norm clipping round the module out.
 """
 
 from __future__ import annotations
@@ -254,7 +253,18 @@ def pointer_grad(g, keys, q, v):
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each is its forward value and a function of the output
+# gradient that returns its inputs' gradients, built into a node by `_node`
+
+def _node(out, inputs, grads) -> Tensor:
+    """A node holding `out` whose backward hands `inputs[i]` the i-th array
+    of `grads(g)`, in input order: the one order the tape's bits rest on."""
+    def backward(g):
+        for t, gt in zip(inputs, grads(g)):
+            accumulate(t, gt)
+
+    return record(out, inputs, backward)
+
 
 def add(*terms) -> Tensor:
     """Broadcast sum of one or more terms in one node, left to right as a
@@ -263,47 +273,27 @@ def add(*terms) -> Tensor:
     if len(terms) == 1:
         return terms[0]
     out = sum((t.data for t in terms[1:]), terms[0].data)
-
-    def backward(g):
-        for t in terms:
-            accumulate(t, _unbroadcast(g, t.shape))
-
-    return record(out, terms, backward)
+    return _node(out, terms, lambda g: [_unbroadcast(g, t.shape) for t in terms])
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        accumulate(a, _unbroadcast(g * b.data, a.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return record(out, (a, b), backward)
+    return _node(a.data * b.data, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
+                                                     _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a constant scalar (the scalar is not differentiated)."""
     a = _as_tensor(a)
     c = float(c)
-
-    def backward(g):
-        accumulate(a, g * c)
-
-    return record(a.data * c, (a,), backward)
+    return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise DomainError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
-
-    return record(out, (a, b), backward)
+    return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def concat_cols(a, b) -> Tensor:
@@ -311,12 +301,7 @@ def concat_cols(a, b) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise DomainError(f"concat row mismatch {a.shape} vs {b.shape}")
     k = a.shape[1]
-
-    def backward(g):
-        accumulate(a, g[:, :k])
-        accumulate(b, g[:, k:])
-
-    return record(np.hstack([a.data, b.data]), (a, b), backward)
+    return _node(np.hstack([a.data, b.data]), (a, b), lambda g: (g[:, :k], g[:, k:]))
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -324,12 +309,12 @@ def gather_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def backward(g):
+    def grads(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
-        accumulate(a, ga)
+        return (ga,)
 
-    return record(a.data[idx], (a,), backward)
+    return _node(a.data[idx], (a,), grads)
 
 
 def pick(a, i: int, j: int) -> Tensor:
@@ -337,12 +322,12 @@ def pick(a, i: int, j: int) -> Tensor:
     a = _as_tensor(a)
     i, j = int(i), int(j)
 
-    def backward(g):
+    def grads(g):
         ga = np.zeros_like(a.data)
         ga[i, j] = g[0, 0]
-        accumulate(a, ga)
+        return (ga,)
 
-    return record(a.data[i, j], (a,), backward)
+    return _node(a.data[i, j], (a,), grads)
 
 
 def reshape(a, shape) -> Tensor:
@@ -350,29 +335,17 @@ def reshape(a, shape) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise DomainError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
-
-    def backward(g):
-        accumulate(a, g.reshape(old))
-
-    return record(a.data.reshape(shape), (a,), backward)
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(g):
-        accumulate(a, g.T)
-
-    return record(a.data.T, (a,), backward)
+    return _node(a.data.T, (a,), lambda g: (g.T,))
 
 
 def tsum(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(g):
-        accumulate(a, np.full_like(a.data, g[0, 0]))
-
-    return record(a.data.sum(), (a,), backward)
+    return _node(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -380,38 +353,22 @@ def tmean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     if axis is None:
         inv = 1.0 / a.data.size
-
-        def backward(g):
-            accumulate(a, np.full_like(a.data, g[0, 0] * inv))
-
-        return record(a.data.mean(), (a,), backward)
+        return _node(a.data.mean(), (a,), lambda g: (np.full_like(a.data, g[0, 0] * inv),))
     if axis != 0:
         raise DomainError("tmean supports axis=None or axis=0")
     inv = 1.0 / a.shape[0]
-
-    def backward(g):
-        accumulate(a, np.repeat(g, a.shape[0], axis=0) * inv)
-
-    return record(mean(a.data, 0), (a,), backward)
+    return _node(mean(a.data, 0), (a,), lambda g: (np.repeat(g, a.shape[0], axis=0) * inv,))
 
 
 def _unary(a, fn, dfn):
     a = _as_tensor(a)
     out = fn(a.data)
-
-    def backward(g):
-        accumulate(a, g * dfn(a.data, out))
-
-    return record(out, (a,), backward)
+    return _node(out, (a,), lambda g: (g * dfn(a.data, out),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-
-    def backward(g):
-        accumulate(a, relu_grad(g, a.data))
-
-    return record(relu_fwd(a.data), (a,), backward)
+    return _node(relu_fwd(a.data), (a,), lambda g: (relu_grad(g, a.data),))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -423,11 +380,7 @@ def elu(a) -> Tensor:
     """ELU with alpha = 1."""
     a = _as_tensor(a)
     out = elu_fwd(a.data)
-
-    def backward(g):
-        accumulate(a, elu_grad(g, a.data, out))
-
-    return record(out, (a,), backward)
+    return _node(out, (a,), lambda g: (elu_grad(g, a.data, out),))
 
 
 def tanh(a) -> Tensor:
@@ -462,11 +415,7 @@ def masked_log_softmax(a, mask) -> Tensor:
     if not np.all(mask.any(axis=1)):
         raise DomainError("masked_log_softmax: a row has no unmasked entries")
     logp, softmax = log_softmax_fwd(a.data, mask)
-
-    def backward(g):
-        accumulate(a, log_softmax_grad(g, softmax, mask))
-
-    return record(logp, (a,), backward)
+    return _node(logp, (a,), lambda g: (log_softmax_grad(g, softmax, mask),))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -476,12 +425,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (1, k) or bias.shape != (1, k):
         raise DomainError(f"layer_norm gain/bias must be (1, {k})")
     out, y, inv_std = layer_norm_fwd(a.data, gain.data, bias.data, eps)
-
-    def backward(g):
-        for t, gt in zip((a, gain, bias), layer_norm_grad(g, gain.data, y, inv_std)):
-            accumulate(t, gt)
-
-    return record(out, (a, gain, bias), backward)
+    return _node(out, (a, gain, bias), lambda g: layer_norm_grad(g, gain.data, y, inv_std))
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -492,58 +436,24 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> 
     if not training or rate == 0.0:
         return a
     keep = dropout_keep(a.shape, rate, rng)
-
-    def backward(g):
-        accumulate(a, g * keep)
-
-    return record(a.data * keep, (a,), backward)
+    return _node(a.data * keep, (a,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------
 # fused primitives: one node and a hand-derived backward for a whole subgraph
 
-def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
-    """GATv2 pair scores: out[i, j] = attn^T LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] W_edge).
-
-    Hd and Hs are (n, d), W_edge is (1, d), attn is (d, 1) and edge_t is a
-    constant (n, n) array.  The pre-activation is a broadcast sum over
-    (n, n, d), so the backward reduces it with two axis-sums and two
-    contractions over the (i, j) pairs; there is no gather.  The node keeps
-    no (n, n, d) array: the backward recomputes the pre-activation, which is
-    safe because nothing writes to a tape's inputs before its backward runs.
-    """
-    Hd, Hs, W_edge, attn = (_as_tensor(t) for t in (Hd, Hs, W_edge, attn))
-    n, d = Hd.shape
-    edge_t = np.asarray(edge_t, dtype=np.float64)
-    if Hs.shape != (n, d) or W_edge.shape != (1, d) or attn.shape != (d, 1) \
-            or edge_t.shape != (n, n):
-        raise DomainError(f"gatv2_scores shape mismatch: Hd {Hd.shape}, Hs {Hs.shape}, "
-                          f"W_edge {W_edge.shape}, attn {attn.shape}, edge_t {edge_t.shape}")
-    inputs = (Hd, Hs, W_edge, attn)
-
-    def backward(g):
-        for t, gt in zip(inputs, gatv2_grad(g, *(t.data for t in inputs), edge_t)):
-            accumulate(t, gt)
-
-    return record(gatv2_fwd(*(t.data for t in inputs), edge_t), inputs, backward)
-
-
 def gru_cell(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h) -> Tensor:
     """One GRU update: z = sigmoid(x W_z + h U_z + b_z), r likewise,
     c = tanh(x W_h + (r * h) U_h + b_h), out = (1 - z) * h + z * c."""
-    h, x = _as_tensor(h), _as_tensor(x)
-    weights = tuple(_as_tensor(t) for t in (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h))
-    w = tuple(t.data for t in weights)
-    out, saved = gru_fwd(h.data, x.data, *w)
+    inputs = tuple(_as_tensor(t) for t in (h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h))
+    data = [t.data for t in inputs]
+    out, saved = gru_fwd(*data)
 
-    def backward(g):
-        g_h, g_x, g_w = gru_grad(g, h.data, x.data, saved, *w)
-        accumulate(h, g_h)
-        accumulate(x, g_x)
-        for t, gt in zip(weights, g_w):
-            accumulate(t, gt)
+    def grads(g):
+        g_h, g_x, g_w = gru_grad(g, data[0], data[1], saved, *data[2:])
+        return (g_h, g_x) + g_w
 
-    return record(out, (h, x) + weights, backward)
+    return _node(out, inputs, grads)
 
 
 def pointer_logits(keys, q, v) -> Tensor:
@@ -557,13 +467,8 @@ def pointer_logits(keys, q, v) -> Tensor:
     if q.shape != (1, d) or v.shape != (d, 1):
         raise DomainError(f"pointer_logits shape mismatch: keys {keys.shape}, "
                           f"q {q.shape}, v {v.shape}")
-    inputs = (keys, q, v)
-
-    def backward(g):
-        for t, gt in zip(inputs, pointer_grad(g, keys.data, q.data, v.data)):
-            accumulate(t, gt)
-
-    return record(pointer_fwd(keys.data, q.data, v.data), inputs, backward)
+    return _node(pointer_fwd(keys.data, q.data, v.data), (keys, q, v),
+                 lambda g: pointer_grad(g, keys.data, q.data, v.data))
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +564,11 @@ def clip_global_norm(grads, max_norm: float):
     return grads
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              max_grad_norm: float = 1.0):
+# Adam's decay rates for the first and second moments, and its denominator floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state: AdamState, lr: float, max_grad_norm: float = 1.0):
     """One Adam update with bias correction; clips global grad norm first."""
     if len(grads) != len(params):
         raise DomainError("adam_step: grads/params length mismatch")
@@ -674,10 +581,10 @@ def adam_step(params, grads, state: AdamState, lr: float,
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

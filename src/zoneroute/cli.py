@@ -153,6 +153,10 @@ def cmd_eval(args) -> int:
             raise DataError(f"{args.routes}: route {route.id}: "
                             f"no ground-truth sequence for evaluation")
         actual = tour_length(route.actual_order, route.travel)
+        if actual <= 0:
+            # MAPE divides by the ground-truth length
+            raise DataError(f"{args.routes}: route {route.id}: ground-truth sequence has "
+                            f"length {actual} s; evaluation needs a positive length")
         preds = {strategy: tour_length(_tour_indices(tours, path, route), route.travel)
                  for strategy, tours, path in (("general", tours_general, args.tours_general),
                                                ("zoned", tours_zoned, args.tours_zoned))}

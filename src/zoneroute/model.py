@@ -10,8 +10,8 @@ Training uses REINFORCE with a moving-average baseline.
 
 On the autodiff tape, `encode` and each decoder rollout are one node apiece,
 computed with `autodiff`'s plain-array kernels.  Their backwards give every
-gradient the bits the one-node-per-operation composition of `gatv2_layer`,
-`gru_step` and `pointer_step` gives it.
+gradient the bits a one-node-per-operation composition of tape primitives
+gives it.
 """
 
 from __future__ import annotations
@@ -174,34 +174,16 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # encoder
 
-def gatv2_layer(H: Tensor, edge_w: np.ndarray, params: ModelParams, layer: int) -> Tensor:
-    """Single-head GATv2 over the complete digraph with scalar edge attributes.
-
-    Score for source j -> target i applies the attention vector after the
-    LeakyReLU: a^T LeakyReLU(W_dst h_i + W_src h_j + edge_w[j, i] * W_edge).
-    """
-    n = H.shape[0]
-    if edge_w.shape != (n, n):
-        raise DomainError(f"edge_w shape {edge_w.shape} != ({n}, {n})")
-    W_src = params[f"gat{layer}.W_src"]
-    W_dst = params[f"gat{layer}.W_dst"]
-    W_edge = params[f"gat{layer}.W_edge"]
-    attn = params[f"gat{layer}.attn"]
-
-    Hs = ad.matmul(H, W_src)
-    Hd = ad.matmul(H, W_dst)
-    scores = ad.gatv2_scores(Hd, Hs, W_edge, attn, edge_w.T)
-    alpha = ad.exp(ad.masked_log_softmax(scores, np.ones((n, n), dtype=bool)))
-    return ad.matmul(alpha, Hs)
-
-
 def encode(g: RouteGraph, params: ModelParams, training: bool = False,
            rng: np.random.Generator | None = None) -> Tensor:
     """Node embeddings: [features || zone embedding] through the 3-layer stack.
 
-    One tape node: the forward is `gatv2_layer`, layer norm, ELU and dropout
-    on plain arrays, and the backward hands each parameter its gradient.
-    Each parameter gets one contribution, so no order is at stake.
+    One tape node: each layer is single-head GATv2 over the complete digraph
+    with scalar edge attributes (the score for source j -> target i is
+    a^T LeakyReLU(W_dst h_i + W_src h_j + edge_w[j, i] W_edge), softmaxed
+    over j), then layer norm, ELU and dropout, all on plain arrays; the
+    backward hands each parameter its gradient.  Each parameter gets one
+    contribution, so no order is at stake.
     """
     n = g.features.shape[0]
     if g.edge_w.shape != (n, n):

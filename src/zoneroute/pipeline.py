@@ -78,53 +78,55 @@ def write_log_csv(rows, path) -> None:
 # general training
 
 def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
-                  random_start_ids: frozenset = frozenset()):
+                  random_starts: frozenset[int] = frozenset()):
     """Minibatch REINFORCE with an EMA baseline and Adam; deterministic per seed.
 
-    Routes whose ids appear in random_start_ids get a fresh uniformly random
-    start node each epoch (used for zone sub-instances, which must be
-    start-agnostic).  Returns (params, log_rows).
+    The routes at the positions in `random_starts` get a fresh uniformly
+    random start node each epoch (used for zone sub-instances, which must be
+    start-agnostic).  Routes are told apart by position, never by id, so
+    equal ids are harmless.  Returns (params, log_rows).
     """
     if not routes:
         raise DomainError("train_general: no routes")
     params = ModelParams.init(cfg.model_config(), seed=derive_seed(cfg.seed, "params"))
     rng = make_rng(derive_seed(cfg.seed, "train"))
 
+    n_train = len(routes)
+    eval_positions = range(n_train)
     if len(routes) >= 10:
-        n_eval = max(1, min(50, len(routes) // 10))
-        train_routes, eval_routes = routes[:-n_eval], routes[-n_eval:]
-    else:
-        train_routes, eval_routes = routes, routes
+        n_train -= max(1, min(50, len(routes) // 10))
+        eval_positions = range(n_train, len(routes))
 
-    graphs = {r.id: build_graph(r, spec) for r in routes}
+    graphs = [build_graph(r, spec) for r in routes]
     state = AdamState(params.as_list())
     baseline = None
     log_rows = []
 
     for epoch in range(1, cfg.epochs + 1):
-        order = np.arange(len(train_routes))
+        order = np.arange(n_train)
         rng.shuffle(order)
         sampled_lengths = []
         for chunk_start in range(0, len(order), cfg.batch_size):
-            batch = [train_routes[int(i)] for i in order[chunk_start:chunk_start + cfg.batch_size]]
-            lengths, baseline = _train_batch(batch, graphs, params, state, baseline, cfg, rng,
-                                             random_start_ids)
+            batch = [int(i) for i in order[chunk_start:chunk_start + cfg.batch_size]]
+            lengths, baseline = _train_batch(batch, routes, graphs, params, state, baseline,
+                                             cfg, rng, random_starts)
             sampled_lengths.extend(lengths)
-        greedy_lengths = [_greedy(graphs[r.id], r, params).length for r in eval_routes]
+        greedy_lengths = [_greedy(graphs[i], routes[i], params).length for i in eval_positions]
         log_rows.append((epoch, float(np.mean(sampled_lengths)),
                          float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
 
 
-def _train_batch(batch, graphs, params, state, baseline, cfg, rng, random_start_ids):
-    """One minibatch: sampled rollouts, REINFORCE loss, backward and Adam.
-    Returns (sampled lengths, updated baseline); the batch's tape and every
-    gradient, the parameters' included, are freed on return."""
+def _train_batch(batch, routes, graphs, params, state, baseline, cfg, rng, random_starts):
+    """One minibatch of route positions: sampled rollouts, REINFORCE loss,
+    backward and Adam.  Returns (sampled lengths, updated baseline); the
+    batch's tape and every gradient, the parameters' included, are freed on
+    return."""
     log_probs, lengths = [], []
-    for route in batch:
-        start = (int(rng.integers(route.n)) if route.id in random_start_ids
-                 else route.start_index)
-        E = encode(graphs[route.id], params, training=True, rng=rng)
+    for i in batch:
+        route = routes[i]
+        start = int(rng.integers(route.n)) if i in random_starts else route.start_index
+        E = encode(graphs[i], params, training=True, rng=rng)
         for _ in range(cfg.samples_per_route):
             tour, logp = decode_tape(E, start, params, greedy=False, rng=rng)
             log_probs.append(logp)
@@ -188,8 +190,8 @@ class ZoneModelSet:
 
 
 def _train_zone_worker(args):
-    zone, routes, random_ids, cfg, spec = args
-    return (zone, *train_general(routes, cfg, spec, random_start_ids=random_ids))
+    zone, routes, random_starts, cfg, spec = args
+    return (zone, *train_general(routes, cfg, spec, random_starts=random_starts))
 
 
 def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
@@ -208,9 +210,9 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
     for zone in sorted(subroutes):
         subs = subroutes[zone]
         zone_routes = [s.route for s in subs]
-        random_ids = frozenset(s.route.id for s in subs if not s.full)
+        random_starts = frozenset(i for i, s in enumerate(subs) if not s.full)
         zone_cfg = replace(cfg, seed=derive_seed(cfg.seed, zone))
-        tasks.append((zone, zone_routes, random_ids, zone_cfg, zoning.spec))
+        tasks.append((zone, zone_routes, random_starts, zone_cfg, zoning.spec))
 
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -256,9 +258,6 @@ def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
             entry = min(by_zone[zone],
                         key=lambda i: (float(((points[i] - position) ** 2).sum()), i))
         indices = by_zone.pop(zone)
-        if len(indices) == 1:
-            order.extend(indices)
-            continue
         sub = _sub_route(route, indices, zone, entry)
         params = zms.models.get(zone)
         if params is None:

@@ -118,8 +118,6 @@ def positional_encoding(points: np.ndarray) -> np.ndarray:
 
 def build_graph(route: Route, spec: GridSpec) -> RouteGraph:
     n = route.n
-    if n < 2:
-        raise DomainError(f"route {route.id}: need at least 2 stops to build a graph")
     pts = project_stops(route, spec)
 
     diff = pts[:, None, :] - pts[None, :, :]
@@ -127,8 +125,9 @@ def build_graph(route: Route, spec: GridSpec) -> RouteGraph:
     d_max = dist.max()
     scale = d_max if d_max > 0 else 1.0
 
+    # a lone stop's nearest other stop is taken to be at distance 0
     off_diag = dist + np.diag(np.full(n, np.inf))
-    f1 = off_diag.min(axis=1) / scale
+    f1 = off_diag.min(axis=1) / scale if n > 1 else np.zeros(1)
     f2 = dist.max(axis=1) / scale
     center = pts.mean(axis=0)
     f3 = np.sqrt(((pts - center) ** 2).sum(axis=1)) / scale

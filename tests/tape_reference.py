@@ -1,12 +1,56 @@
 """The route policy's forward pass as a composition of tape primitives, one
 node per operation: the reference that `model.encode` and `model._run_decoder`,
-one fused node each, must match bit for bit, gradients included."""
+one fused node each, must match bit for bit, gradients included.  The GATv2
+pair-score primitive and layer live here, as only this reference uses them."""
 
 import numpy as np
 
 from zoneroute import autodiff as ad
 from zoneroute.autodiff import Tensor
-from zoneroute.model import gatv2_layer, gru_step, pointer_keys, pointer_step
+from zoneroute.errors import DomainError
+from zoneroute.model import ModelParams, gru_step, pointer_keys, pointer_step
+
+
+def gatv2_scores(Hd, Hs, W_edge, attn, edge_t) -> Tensor:
+    """GATv2 pair scores: out[i, j] = attn^T LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] W_edge).
+
+    Hd and Hs are (n, d), W_edge is (1, d), attn is (d, 1) and edge_t is a
+    constant (n, n) array.  The pre-activation is a broadcast sum over
+    (n, n, d), so the backward reduces it with two axis-sums and two
+    contractions over the (i, j) pairs; there is no gather.  The node keeps
+    no (n, n, d) array: the backward recomputes the pre-activation, which is
+    safe because nothing writes to a tape's inputs before its backward runs.
+    """
+    n, d = Hd.shape
+    edge_t = np.asarray(edge_t, dtype=np.float64)
+    if Hs.shape != (n, d) or W_edge.shape != (1, d) or attn.shape != (d, 1) \
+            or edge_t.shape != (n, n):
+        raise DomainError(f"gatv2_scores shape mismatch: Hd {Hd.shape}, Hs {Hs.shape}, "
+                          f"W_edge {W_edge.shape}, attn {attn.shape}, edge_t {edge_t.shape}")
+    inputs = (Hd, Hs, W_edge, attn)
+    data = [t.data for t in inputs]
+    return ad._node(ad.gatv2_fwd(*data, edge_t), inputs, lambda g: ad.gatv2_grad(g, *data, edge_t))
+
+
+def gatv2_layer(H: Tensor, edge_w: np.ndarray, params: ModelParams, layer: int) -> Tensor:
+    """Single-head GATv2 over the complete digraph with scalar edge attributes.
+
+    Score for source j -> target i applies the attention vector after the
+    LeakyReLU: a^T LeakyReLU(W_dst h_i + W_src h_j + edge_w[j, i] * W_edge).
+    """
+    n = H.shape[0]
+    if edge_w.shape != (n, n):
+        raise DomainError(f"edge_w shape {edge_w.shape} != ({n}, {n})")
+    W_src = params[f"gat{layer}.W_src"]
+    W_dst = params[f"gat{layer}.W_dst"]
+    W_edge = params[f"gat{layer}.W_edge"]
+    attn = params[f"gat{layer}.attn"]
+
+    Hs = ad.matmul(H, W_src)
+    Hd = ad.matmul(H, W_dst)
+    scores = gatv2_scores(Hd, Hs, W_edge, attn, edge_w.T)
+    alpha = ad.exp(ad.masked_log_softmax(scores, np.ones((n, n), dtype=bool)))
+    return ad.matmul(alpha, Hs)
 
 
 def encode(g, params, training=False, rng=None):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zoneroute
-from zoneroute import cli
+from zoneroute import cli, dataio
 from zoneroute.errors import NumericError
+from zoneroute.routegraph import Route
 
 
 def read_bytes(path):
@@ -390,6 +391,40 @@ def test_corrupted_input_exits_2_naming_it(general_run, probe, capsys):
     capsys.readouterr()
     assert cli.main(stage_argv(stage, general_run)) == 2
     assert_data_error_naming(tmp_path / named, capsys)
+
+
+def test_eval_on_a_zero_length_ground_truth_names_the_route(general_run, capsys):
+    tmp_path, routes, zones, _, tours = general_run
+
+    def zero_travel(payload):
+        for row in payload["R0000"].values():
+            row.update(dict.fromkeys(row, 0.0))
+
+    rewrite_json(os.path.join(routes, "travel_times.json"), zero_travel)
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", tours, "--zones", zones,
+                     "--out", str(tmp_path / "r.json")]) == 2
+    err = assert_data_error_naming(routes, capsys)
+    assert "route R0000" in err
+
+
+def test_one_stop_route_is_inferred_as_its_station_by_both_strategies(general_run):
+    tmp_path, routes, zones, gdir, _ = general_run
+    zdir = str(tmp_path / "z")
+    assert cli.main(["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
+                     "--config", str(tmp_path / "train.cfg"), "--out", zdir, "--jobs", "1"]) == 0
+    loaded = dataio.load_routes(routes)
+    first = loaded[0]
+    station = first.stops[first.start_index]
+    loaded[0] = Route(id=first.id, stops=[station], travel=np.zeros((1, 1)), actual_order=[0])
+    dataio.save_routes(loaded, routes)
+    for strategy, ckpt in (("general", gdir), ("zoned", zdir)):
+        out = tmp_path / f"tours-{strategy}.json"
+        assert cli.main(["infer", "--strategy", strategy, "--routes", routes,
+                         "--ckpt", ckpt, "--out", str(out)]) == 0
+        tour = json.loads(out.read_text())["tours"][first.id]
+        assert tour["order"] == [station.id] and tour["length_s"] == 0.0
 
 
 # non-finite synth config values: each must exit 2 naming the config file

@@ -17,7 +17,6 @@ from zoneroute.model import (
     decode,
     decode_tape,
     encode,
-    gatv2_layer,
     gru_step,
     pointer_step,
     reinforce_loss,
@@ -27,6 +26,7 @@ from zoneroute.routegraph import RouteGraph, build_graph
 from zoneroute import dataio, model, pipeline
 
 import tape_reference
+from tape_reference import gatv2_layer
 
 CFG8 = ModelConfig(hidden_dim=8, dropout=0.0)
 

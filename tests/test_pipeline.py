@@ -149,11 +149,11 @@ def test_training_is_byte_identical_to_the_tape_composition(monkeypatch):
     spec = default_grid_spec(routes)
     cfg = TrainConfig(epochs=2, batch_size=2, samples_per_route=2, hidden_dim=8,
                       dropout=0.2, seed=6)
-    random_ids = frozenset({routes[2].id})
-    fused, fused_log = train_general(routes, cfg, spec, random_start_ids=random_ids)
+    random_starts = frozenset({2})
+    fused, fused_log = train_general(routes, cfg, spec, random_starts=random_starts)
     monkeypatch.setattr(pipeline, "encode", tape_reference.encode)
     monkeypatch.setattr(model, "_run_decoder", tape_reference.run_decoder)
-    taped, taped_log = train_general(routes, cfg, spec, random_start_ids=random_ids)
+    taped, taped_log = train_general(routes, cfg, spec, random_starts=random_starts)
     assert fused_log == taped_log
     for name in fused.names():
         assert np.array_equal(fused[name].data, taped[name].data), name
@@ -193,6 +193,33 @@ def test_zone_training_is_independent(spec):
     assert any(not np.array_equal(zms_a.models[1][name].data,
                                   zms_b.models[1][name].data)
                for name in zms_a.models[1].names())
+
+
+def test_zone_sub_route_ids_cannot_collide_with_route_ids(spec):
+    # "R0000#z0" lies wholly in zone 0, so it keeps its id, which is also
+    # the id of R0000's cut zone-0 sub-route; training must not mix them up
+    def route_at(route_id, coords):
+        pts = [project(type(spec.origin)(lat, lng), spec) for lat, lng in coords]
+        return make_route(route_id, coords, symmetric_travel([(p.x, p.y) for p in pts]))
+
+    zoning = line_zoning(spec, [-118.249, -118.1995])
+    route = route_at("R0000", [(33.98, -118.25), (33.98, -118.249), (33.98, -118.248),
+                               (33.98, -118.20), (33.98, -118.199)])
+    assert [zone_of_stop(s, zoning) for s in route.stops] == [0, 0, 0, 1, 1]
+    twin_coords = [(33.981, -118.25), (33.981, -118.249), (33.979, -118.2485),
+                   (33.979, -118.2495)]
+    cfg = TrainConfig(epochs=2, hidden_dim=8, seed=6)
+    runs = []
+    for twin_id in ("R0000#z0", "TWIN"):
+        twin = route_at(twin_id, twin_coords)
+        assert all(zone_of_stop(s, zoning) == 0 for s in twin.stops)
+        runs.append(train_zone_models([route, twin], zoning, cfg))
+    colliding, apart = runs
+    assert sorted(colliding.models) == sorted(apart.models) == [0, 1]
+    for zone in colliding.models:
+        for name in colliding.models[zone].names():
+            assert np.array_equal(colliding.models[zone][name].data,
+                                  apart.models[zone][name].data), (zone, name)
 
 
 def test_train_zone_models_jobs_parity():
