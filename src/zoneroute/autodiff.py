@@ -8,11 +8,14 @@ GRU update) and `pointer_logits` (the additive-attention pointer head,
 whose backward recomputes its tanh).  The math of these, of the nonlinear
 primitives and of the GATv2 pair scores lives in plain-array kernels
 (`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
-into bigger nodes of its own.  Every primitive is its forward value plus a
-function returning its inputs' gradients, made a node by `_node`, which
-hands them over in input order; `backward` walks the implicit tape in
-reverse topological order.  A finite-difference gradient checker and an
-Adam step with global gradient-norm clipping round the module out.
+into bigger nodes of its own; `accumulate_rows` hands a tensor a stack of
+contributions in order, with the bits of one `accumulate` call each.  Every
+primitive is its forward value plus a function returning its inputs'
+gradients, made a node by `_node`, which hands them over in input order;
+`backward` walks the implicit tape in reverse topological order.  A
+finite-difference gradient checker and an Adam step with global
+gradient-norm clipping, over one flat buffer that holds every parameter,
+round the module out.
 """
 
 from __future__ import annotations
@@ -93,6 +96,63 @@ def accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+# bytes of one block of stacked rows (the GATv2 pre-activation's, or a
+# rollout's per-step gradients): small enough that a block's elementwise
+# passes stay in cache
+_GATV2_BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of `row_bytes` bytes one block holds (at least one)."""
+    return max(1, _GATV2_BLOCK_BYTES // row_bytes)
+
+
+def sum_rows(acc, rows) -> np.ndarray:
+    """acc + rows[1] + ... + rows[k - 1], added one at a time from the left
+    into `acc`, k being len(rows); rows[0] is scratch.  Without `acc` the sum
+    starts from +0.0, as numpy's reduce does, so it has the bits of rows[1]
+    copied and the rest added, but for the sign of a zero.
+
+    np.add.reduce over axis 0 adds whole rows in order, each entry as one
+    `+=` would; only a reduce over single entries would run numpy's
+    pairwise sum, which regroups the terms, so those go one by one."""
+    if rows[0].size == 1:
+        acc = np.zeros_like(rows[0]) if acc is None else acc
+        for row in rows[1:]:
+            acc += row
+        return acc
+    if acc is None:
+        return np.add.reduce(rows[1:], axis=0)
+    rows[0] = acc
+    return np.add.reduce(rows, axis=0, out=acc)
+
+
+def accumulate_rows(t: Tensor, right, left=None, buf=None):
+    """`accumulate(t, c_i)` for i = 0, 1, ... in turn, to the bit (see
+    `sum_rows`), in a few numpy calls.  c_i is right[i] in t's shape, or with `left` the weight
+    gradient `weight_grad(left[i], right[i])` of one row each, an exact outer
+    product.  Blocks of rows go through `buf` (a flat float64 array), or
+    through a fresh buffer when it is None or too small."""
+    shape = t.data.shape
+    steps = len(right)
+    right = right.reshape(steps, -1)
+    if left is not None:
+        left = left.reshape(steps, -1)
+    rows = block_rows(8 * t.data.size)
+    need = (min(rows, steps) + 1) * t.data.size
+    if buf is None or buf.size < need:
+        buf = np.empty(need)
+    blk = buf[:need].reshape(-1, *shape)
+    flat = blk.reshape(len(blk), -1)
+    for i0 in range(0, steps, rows):
+        k = min(rows, steps - i0)
+        if left is None:
+            flat[1:k + 1] = right[i0:i0 + k]
+        else:
+            np.einsum("ti,tj->tij", left[i0:i0 + k], right[i0:i0 + k], out=blk[1:k + 1])
+        t.grad = sum_rows(t.grad, blk[:k + 1])
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum the gradient over axes that were broadcast in the forward pass."""
     out = g
@@ -113,6 +173,13 @@ def mean(x: np.ndarray, axis: int) -> np.ndarray:
     """`x.mean(axis, keepdims=True)` to the bit (numpy's mean is this sum
     divided by the count), without the wrapper's overhead."""
     return x.sum(axis=axis, keepdims=True) / x.shape[axis]
+
+
+def weight_grad(left, right) -> np.ndarray:
+    """A weight's gradient from the rows that multiply it: left.T @ right for
+    a weight applied as `left @ W`, or the column sums of `right` for a bias
+    or gain (`left` None)."""
+    return right.sum(axis=0, keepdims=True) if left is None else left.T @ right
 
 
 def relu_fwd(x):
@@ -162,16 +229,19 @@ def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
     return y * gain + bias, y, inv_std
 
 
+def layer_norm_grad_rows(g, gain, y, inv_std):
+    """Returns the gradient of x and each row's share of the gradients of
+    gain and bias; rows may carry leading axes, such as one per step."""
+    gy = g * gain
+    return inv_std * (gy - mean(gy, -1) - y * mean(gy * y, -1)), g * y, g
+
+
 def layer_norm_grad(g, gain, y, inv_std):
     """Returns the gradients of (x, gain, bias)."""
-    gy = g * gain
-    return (inv_std * (gy - mean(gy, 1) - y * mean(gy * y, 1)),
-            (g * y).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+    g_x, g_gain, g_bias = layer_norm_grad_rows(g, gain, y, inv_std)
+    return g_x, weight_grad(None, g_gain), weight_grad(None, g_bias)
 
 
-# bytes of one row block of the GATv2 pre-activation: small enough that the
-# block's elementwise passes stay in cache
-_GATV2_BLOCK_BYTES = 256 * 1024
 _GATV2_SLOPE = 0.2
 
 
@@ -179,7 +249,7 @@ def _gatv2_preact(Hd, Hs, w_edge, edge_t) -> np.ndarray:
     """LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) as a fresh (n, n, d)
     array, written in row blocks through one block-sized scratch buffer."""
     n, d = Hd.shape
-    rows = max(1, _GATV2_BLOCK_BYTES // (8 * n * d))
+    rows = block_rows(8 * n * d)
     act = np.empty((n, n, d))
     buf = np.empty((min(rows, n), n, d))
     for i0 in range(0, n, rows):
@@ -206,9 +276,12 @@ def gatv2_grad(g, Hd, Hs, W_edge, attn, edge_t):
     slope = _GATV2_SLOPE
     act = _gatv2_preact(Hd, Hs, W_edge[0], edge_t)
     g_attn = (g.reshape(1, n * n) @ act.reshape(n * n, d)).T
-    # act > 0 exactly where the pre-activation is, so act alone suffices
+    # act > 0 exactly where the pre-activation is, so act alone suffices;
+    # the comparison is written as 1.0/0.0 into act itself, with no
+    # n x n x d boolean array
     a = attn[:, 0]
-    gpre = np.multiply(act > 0, (1.0 - slope) * a, out=act)
+    gpre = np.greater(act, 0.0, out=act)
+    gpre *= (1.0 - slope) * a
     gpre += slope * a
     gpre *= g[:, :, None]
     return (gpre.sum(axis=1), gpre.sum(axis=0),
@@ -225,19 +298,39 @@ def gru_fwd(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
     return (1.0 - z) * h + z * c, (z, r, rh, c)
 
 
-def gru_grad(g, h, x, saved, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
-    """Returns the gradients of (h, x) and a tuple of those of the nine
-    weights, in the argument order of `gru_fwd`."""
+def gru_grad_state(g, h, saved, U_z, U_r, U_h):
+    """The recurrent part of `gru_grad`: returns the gradient of h and those
+    of the three gate pre-activations (z, r, candidate)."""
     z, r, rh, c = saved
     g_c = g * z * (1.0 - c * c)
     g_z = g * (c - h) * z * (1.0 - z)
     g_rh = g_c @ U_h.T
     g_r = g_rh * h * r * (1.0 - r)
     g_h = g * (1.0 - z) + g_rh * r + g_z @ U_z.T + g_r @ U_r.T
-    g_x = g_z @ W_z.T + g_r @ W_r.T + g_c @ W_h.T
-    g_w = tuple(part for gate, inp in ((g_z, h), (g_r, h), (g_c, rh))
-                for part in (x.T @ gate, inp.T @ gate, gate.sum(axis=0, keepdims=True)))
-    return g_h, g_x, g_w
+    return g_h, (g_z, g_r, g_c)
+
+
+def gru_grad_x(gates, W_z, W_r, W_h):
+    """The gradient of x from the gate gradients; with a leading axis of
+    (1, d) steps, each step's row has the bits of its own product."""
+    g_z, g_r, g_c = gates
+    return g_z @ W_z.T + g_r @ W_r.T + g_c @ W_h.T
+
+
+def gru_weight_factors(h, x, rh, gates):
+    """(left, right) for each of the nine weights, in the argument order of
+    `gru_fwd`: its gradient is `weight_grad(left, right)`."""
+    return tuple(pair for gate, inp in zip(gates, (h, h, rh))
+                 for pair in ((x, gate), (inp, gate), (None, gate)))
+
+
+def gru_grad(g, h, x, saved, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
+    """Returns the gradients of (h, x) and a tuple of those of the nine
+    weights, in the argument order of `gru_fwd`."""
+    g_h, gates = gru_grad_state(g, h, saved, U_z, U_r, U_h)
+    g_w = tuple(weight_grad(left, right)
+                for left, right in gru_weight_factors(h, x, saved[2], gates))
+    return g_h, gru_grad_x(gates, W_z, W_r, W_h), g_w
 
 
 def pointer_fwd(keys, q, v):
@@ -245,11 +338,18 @@ def pointer_fwd(keys, q, v):
     return (np.tanh(keys + q) @ v).T
 
 
-def pointer_grad(g, keys, q, v):
-    """Returns the gradients of (keys, q, v), recomputing the (n, d) tanh."""
-    t = np.tanh(keys + q)
-    gu = (g.T @ v.T) * (1.0 - t * t)
-    return gu, gu.sum(axis=0, keepdims=True), t.T @ g.T
+def pointer_grad(g, keys, q, v, out=None):
+    """Returns the gradients of (keys, q, v), recomputing the (n, d) tanh;
+    the keys' goes to `out` when given.  Given a leading axis of steps, a
+    (T, 1, n) g and a (T, 1, d) q, it returns each step's gradients, with
+    the bits of T separate calls."""
+    t = np.add(keys, q)
+    np.tanh(t, out=t)
+    dtanh = t * t
+    np.subtract(1.0, dtanh, out=dtanh)
+    g_col = g.swapaxes(-1, -2)
+    gu = np.multiply(g_col @ v.T, dtanh, out=out)
+    return gu, gu.sum(axis=-2, keepdims=True), t.swapaxes(-1, -2) @ g_col
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +648,40 @@ def grad_check(f, params, eps: float = 1e-5, max_coords: int = 200,
 
 
 class AdamState:
+    """Adam's step count and moments for a fixed list of parameters.
+
+    Building it packs the parameters into one contiguous float64 buffer and
+    makes each `p.data` a view of it, so that `adam_step` updates them all
+    with a few whole-buffer numpy calls.  The moments, the gradient copy and
+    one scratch array are buffers of the same size, kept from step to step:
+    a fresh array that big would be a fresh memory mapping every step."""
+
     def __init__(self, params):
+        self.params = list(params)
         self.step = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.flat = np.empty(sum(p.data.size for p in self.params))
+        start = 0
+        for p in self.params:
+            view = self.flat[start:start + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            start += view.size
+        self.views = [p.data for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.grad = np.empty_like(self.flat)
+        self.scratch = np.empty_like(self.flat)
+
+
+def global_norm(grads) -> float:
+    """The L2 norm of a gradient list: each array's sum of squares, added in
+    list order."""
+    return np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
 
 
 def clip_global_norm(grads, max_norm: float):
     """Scale the gradient list in place so its global L2 norm is <= max_norm."""
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+    total = global_norm(grads)
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads:
@@ -569,22 +694,41 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params, grads, state: AdamState, lr: float, max_grad_norm: float = 1.0):
-    """One Adam update with bias correction; clips global grad norm first."""
+    """One Adam update with bias correction; clips global grad norm first.
+
+    `params` must be the tensors `state` was built over, in its order, their
+    data still its views.  Every operation keeps the operands and the order
+    of the same update written per parameter, so each parameter gets the
+    same bits."""
+    if len(params) != len(state.params) or any(
+            p is not q or p.data is not view
+            for p, q, view in zip(params, state.params, state.views)):
+        raise DomainError("adam_step: params are not the tensors its AdamState was built over")
     if len(grads) != len(params):
         raise DomainError("adam_step: grads/params length mismatch")
     for p, g in zip(params, grads):
         if g.shape != p.data.shape:
             raise DomainError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
-    grads = [g.copy() for g in grads]
+    g, tmp, m, v = state.grad, state.scratch, state.m, state.v
+    if grads:
+        np.concatenate([x.reshape(-1) for x in grads], out=g)
     if max_grad_norm > 0:
-        clip_global_norm(grads, max_grad_norm)
+        total = global_norm(grads)
+        if total > max_grad_norm:
+            g *= max_grad_norm / total
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v *= ADAM_BETA2
+    v += tmp
+    g *= 1 - ADAM_BETA1
+    m *= ADAM_BETA1
+    m += g
+    m_hat = np.divide(m, 1 - ADAM_BETA1 ** t, out=g)
+    v_hat = np.divide(v, 1 - ADAM_BETA2 ** t, out=tmp)
+    m_hat *= lr
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    m_hat /= v_hat
+    state.flat -= m_hat

@@ -270,16 +270,23 @@ def _branch_fwd(x: np.ndarray, weights):
     return out, (pre, hidden, y, inv_std)
 
 
-def _branch_grad(g, x: np.ndarray, weights, saved):
-    """Hands the branch's four weights their gradients; returns x's."""
+def _branch_grad_rows(g, x: np.ndarray, weights, saved):
+    """The gradient of x, and (left, right) for each of the branch's four
+    weights: its gradient is `ad.weight_grad(left, right)`.  Given a leading
+    axis of (1, d) steps, each step's rows have the bits of its own call."""
     FC1, FC2, gain, bias = weights
     pre, hidden, y, inv_std = saved
-    g_normed, g_gain, g_bias = ad.layer_norm_grad(g, gain.data, y, inv_std)
+    g_normed, g_gain, g_bias = ad.layer_norm_grad_rows(g, gain.data, y, inv_std)
     g_pre = ad.relu_grad(g_normed @ FC2.data.T, pre)
-    for p, gp in ((gain, g_gain), (bias, g_bias), (FC2, hidden.T @ g_normed),
-                  (FC1, x.T @ g_pre)):
-        ad.accumulate(p, gp)
-    return g_pre @ FC1.data.T
+    return g_pre @ FC1.data.T, ((x, g_pre), (hidden, g_normed), (None, g_gain), (None, g_bias))
+
+
+def _branch_grad(g, x: np.ndarray, weights, saved):
+    """Hands the branch's four weights their gradients; returns x's."""
+    g_x, factors = _branch_grad_rows(g, x, weights, saved)
+    for p, (left, right) in zip(weights, factors):
+        ad.accumulate(p, ad.weight_grad(left, right))
+    return g_x
 
 
 def pointer_keys(E: Tensor, params: ModelParams) -> Tensor:
@@ -316,10 +323,13 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     the pointer keys and every GRU and pointer step, run as `gru_step` and
     `pointer_step` would on arrays.  Parameters and E take several
     contributions each, and float addition is not associative, so the
-    backward hands them over one by one in the order the per-operation tape
-    did: the pointer heads in step order, the key branch (E's first), the
-    GRU from the last step back, W_init and the mean into E, then the
-    gathered rows into E.
+    backward hands them over in the order the per-operation tape did: the
+    pointer heads in step order, the key branch (E's first), the GRU from
+    the last step back, W_init and the mean into E, then the gathered rows
+    into E.  Only the GRU's recursion runs step by step; everything else
+    works on the T steps stacked, (T, 1, d) rows whose products have the
+    bits of each step's own, and `ad.accumulate_rows` hands each parameter
+    its T contributions with the bits of T `accumulate` calls.
     """
     n = E.shape[0]
     tour = [start]
@@ -353,45 +363,83 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
             probs = probs / probs.sum()
             j = int(rng.choice(n, p=probs))
         total = logp[0, j] if total is None else total + logp[0, j]
-        steps.append((h, x, gru_saved, h_next, q, q_saved, mask, softmax, j))
+        steps.append((h, x, gru_saved, h_next, q, q_saved, mask, softmax))
         h = h_next
         visited[j] = True
         tour.append(j)
 
     def backward(g):
-        g_keys, g_h = None, []
-        for h, x, gru_saved, h_next, q, q_saved, mask, softmax, j in steps:
-            g_lp = np.zeros((1, n))
-            g_lp[0, j] = g[0, 0]
-            g_keys_t, g_q, g_v = ad.pointer_grad(
-                ad.log_softmax_grad(g_lp, softmax, mask), keys, q, v.data)
-            if g_keys is None:
-                g_keys = g_keys_t
-            else:
-                g_keys += g_keys_t
-            ad.accumulate(v, g_v)
-            g_h.append(_branch_grad(g_q, h_next, q_w, q_saved))
+        H, X, gru_saved, H_next, Q, q_saved, MASK, SOFTMAX = zip(*steps)
+        T, d = len(steps), Ed.shape[1]
+        g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour[1:], keys, v, Q, SOFTMAX, MASK)
+        buf = np.empty((ad.block_rows(8 * d * d) + 1) * d * d)
+        g_H, factors = _branch_grad_rows(g_Q, _stack(H_next), q_w,
+                                         tuple(_stack(c) for c in zip(*q_saved)))
+        for p, (left, right) in zip(q_w, factors):
+            ad.accumulate_rows(p, right, left, buf)
+        del factors  # the query branch's stacks go before the GRU's are built
         g_E_keys = _branch_grad(g_keys, Ed, k_w, k_saved)
-        g_x = [None] * len(steps)
-        g_prev = None
-        for t in reversed(range(len(steps))):
-            h, x, gru_saved = steps[t][:3]
-            g_t = g_h[t] if g_prev is None else g_h[t] + g_prev
-            g_prev, g_x[t], g_w = ad.gru_grad(g_t, h, x, gru_saved, *gru_data)
-            for p, gp in zip(gru_w, g_w):
-                ad.accumulate(p, gp)
-        g_pre = g_prev * (1.0 - h0 * h0)
+        g_h0, g_x = _gru_grad_steps(g_H, H, X, gru_saved, gru_w, buf)
+        g_pre = g_h0 * (1.0 - h0 * h0)
         ad.accumulate(W_init, E_mean.T @ g_pre)
         ad.accumulate(E, g_E_keys)
         ad.accumulate(E, np.repeat(g_pre @ W_init.data.T, n, axis=0) * (1.0 / n))
         # each row is gathered once, so one array adds the bits of one
         # gather at a time (0.0 + g into zeros, as the gather did)
         g_rows = np.zeros_like(Ed)
-        g_rows[tour[:-1]] += np.vstack(g_x)
+        g_rows[tour[:-1]] += g_x.reshape(T, d)
         ad.accumulate(E, g_rows)
 
     params_used = gru_w + q_w + k_w + [v, W_init]
     return tour, ad.record(total, [E] + params_used, backward)
+
+
+def _stack(rows) -> np.ndarray:
+    """A rollout's per-step (1, w) arrays as one (T, 1, w) array."""
+    return np.concatenate(rows)[:, None]
+
+
+def _pointer_heads_grad(g, picks, keys, v, Q, softmax, mask):
+    """The backward of every step's pointer head and log-softmax, for the
+    output gradient g of each picked log-probability: hands ptr.v its
+    per-step gradients in step order and returns the keys' gradient, summed
+    in step order, and the (T, 1, d) query gradients.  Steps go in blocks
+    whose (k, n, d) arrays hold about `ad._GATV2_BLOCK_BYTES` each."""
+    T, (n, d) = len(picks), keys.shape
+    rows = ad.block_rows(8 * n * d)
+    key_rows = np.empty((min(rows, T) + 1, n, d))
+    g_keys, g_Q = None, np.empty((T, 1, d))
+    for t0 in range(0, T, rows):
+        k = min(rows, T - t0)
+        blk = slice(t0, t0 + k)
+        g_lp = np.zeros((k, n))
+        g_lp[np.arange(k), picks[blk]] = g
+        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]),
+                                       np.concatenate(mask[blk]))
+        _, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys, _stack(Q[blk]), v.data,
+                                           out=key_rows[1:k + 1])
+        g_keys = ad.sum_rows(g_keys, key_rows[:k + 1])
+        ad.accumulate_rows(v, g_v)
+    return g_keys, g_Q
+
+
+def _gru_grad_steps(g_H, H, X, saved, gru_w, buf):
+    """The GRU's backward through a rollout, g_H[t] being the gradient its
+    output at step t gets from the pointer: the recursion runs from the last
+    step back, and the nine weights take their per-step gradients in that
+    order.  Returns the gradients of the initial state and of the (T, 1, d)
+    stacked inputs."""
+    W_z, U_z, _, W_r, U_r, _, W_h, U_h, _ = (w.data for w in gru_w)
+    gates = [None] * len(H)
+    g_h = None
+    for t in reversed(range(len(H))):
+        g_t = g_H[t] if g_h is None else g_H[t] + g_h
+        g_h, gates[t] = ad.gru_grad_state(g_t, H[t], saved[t], U_z, U_r, U_h)
+    gates = tuple(_stack(gate) for gate in zip(*gates))
+    back = [a[::-1] for a in (_stack(H), _stack(X), _stack([s[2] for s in saved])) + gates]
+    for p, (left, right) in zip(gru_w, ad.gru_weight_factors(*back[:3], back[3:])):
+        ad.accumulate_rows(p, right, left, buf)
+    return g_h, ad.gru_grad_x(gates, W_z, W_r, W_h)
 
 
 def decode_tape(E: Tensor, start: int, params: ModelParams, greedy: bool,

@@ -240,10 +240,11 @@ def infer_general(route: Route, params: ModelParams, spec: GridSpec) -> DecodeRe
 
 def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
     """Greedy zone stitching: order zones by nearest stop centroid from the
-    current position, decode each zone's sub-instance with its own model."""
+    current position, decode each zone's sub-instance with its own model.
+    Each stop is projected once."""
     zoning = zms.zoning
     points = project_stops(route, zoning.spec)
-    by_zone = stops_by_zone(route, zoning)
+    by_zone = stops_by_zone(route, zoning, points)
     zone_centroids = {z: points[idx].mean(axis=0) for z, idx in by_zone.items()}
 
     entry = route.start_index
@@ -263,7 +264,7 @@ def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
         if params is None:
             sub_tour = nearest_neighbor(sub.travel, sub.start_index)
         else:
-            res = _greedy(build_graph(sub, zoning.spec), sub, params)
+            res = _greedy(build_graph(sub, zoning.spec, points[indices]), sub, params)
             sub_tour = res.tour
             total_log_prob += res.log_prob
         order.extend(indices[i] for i in sub_tour)

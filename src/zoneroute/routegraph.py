@@ -116,9 +116,11 @@ def positional_encoding(points: np.ndarray) -> np.ndarray:
     return pe
 
 
-def build_graph(route: Route, spec: GridSpec) -> RouteGraph:
+def build_graph(route: Route, spec: GridSpec, points: np.ndarray | None = None) -> RouteGraph:
+    """The route's graph; `points` are its stops' projections
+    (`project_stops`) when the caller already has them."""
     n = route.n
-    pts = project_stops(route, spec)
+    pts = project_stops(route, spec) if points is None else points
 
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))

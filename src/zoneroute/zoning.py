@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import make_rng
 from .dataio import read_json, write_json
 from .errors import DomainError
-from .hexgrid import (GridSpec, HexCellId, cell_of, centroid,
+from .hexgrid import (GridSpec, HexCellId, ProjectedPoint, cell_of, centroid,
                       format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
 
@@ -119,20 +119,26 @@ def zone_of_point(x: float, y: float, z: Zoning) -> int:
     return int(d2.argmin())
 
 
-def zone_of_stop(s: Stop, z: Zoning) -> int:
-    """Zone of a stop: cell lookup, falling back to nearest centroid."""
-    p = project(s.geo, z.spec)
+def zone_of_stop(s: Stop, z: Zoning, p: ProjectedPoint | None = None) -> int:
+    """Zone of a stop: cell lookup, falling back to nearest centroid.  `p`
+    is the stop's projection when the caller already has it."""
+    if p is None:
+        p = project(s.geo, z.spec)
     cell = cell_of(p, z.resolution, z.spec)
     if cell in z.cell_to_zone:
         return z.cell_to_zone[cell]
     return zone_of_point(p.x, p.y, z)
 
 
-def stops_by_zone(route: Route, z: Zoning) -> dict[int, list[int]]:
-    """Stop indices of `route` grouped by zone, in order of first appearance."""
+def stops_by_zone(route: Route, z: Zoning,
+                  points: np.ndarray | None = None) -> dict[int, list[int]]:
+    """Stop indices of `route` grouped by zone, in order of first appearance.
+    `points` are the stops' projections (`project_stops`) when the caller
+    already has them."""
     by_zone: dict[int, list[int]] = {}
     for i, stop in enumerate(route.stops):
-        by_zone.setdefault(zone_of_stop(stop, z), []).append(i)
+        p = None if points is None else ProjectedPoint(float(points[i, 0]), float(points[i, 1]))
+        by_zone.setdefault(zone_of_stop(stop, z, p), []).append(i)
     return by_zone
 
 

@@ -1,7 +1,9 @@
 """The route policy's forward pass as a composition of tape primitives, one
 node per operation: the reference that `model.encode` and `model._run_decoder`,
 one fused node each, must match bit for bit, gradients included.  The GATv2
-pair-score primitive and layer live here, as only this reference uses them."""
+pair-score primitive and layer live here, as only this reference uses them,
+and so does Adam written per parameter, the oracle of the flat
+`autodiff.adam_step`."""
 
 import numpy as np
 
@@ -88,3 +90,31 @@ def run_decoder(E, start, params, forced=None, greedy=True, rng=None):
         visited[j] = True
         tour.append(j)
     return tour, (ad.add(*terms) if terms else Tensor(0.0))
+
+
+class AdamReference:
+    """Adam's step count and per-parameter moments."""
+
+    def __init__(self, params):
+        self.step = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+
+def adam_step(params, grads, state: AdamReference, lr: float, max_grad_norm: float = 1.0):
+    """One Adam update with bias correction, parameter by parameter; clips
+    global grad norm first."""
+    grads = [g.copy() for g in grads]
+    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+    if total > max_grad_norm > 0:
+        grads = [g * (max_grad_norm / total) for g in grads]
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ad.ADAM_BETA1
+        m += (1 - ad.ADAM_BETA1) * g
+        v *= ad.ADAM_BETA2
+        v += (1 - ad.ADAM_BETA2) * g * g
+        m_hat = m / (1 - ad.ADAM_BETA1 ** t)
+        v_hat = v / (1 - ad.ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)

@@ -157,6 +157,55 @@ def test_pointer_logits_recomputed_tanh_is_bit_identical(n):
         assert got.tobytes() == want.tobytes()
 
 
+def _spread(shape, seed):
+    """Values of both signs spread over 12 orders of magnitude, so that any
+    change in the order of a sum changes its bits."""
+    rng = make_rng(seed)
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+
+@pytest.mark.parametrize("shape, steps, block_rows", [
+    ((4, 4), 1, 3), ((4, 4), 2, 3), ((4, 4), 3, 3), ((4, 4), 4, 3),  # below, at and past a block
+    ((1, 4), 4, 3), ((4, 1), 7, 3), ((1, 1), 5, 3),
+    ((64, 64), 8, None), ((64, 64), 9, None),   # at and just past the default block of 8
+    ((1, 1), 12, None),  # one entry per row: numpy would sum 8 or more pairwise
+])
+@pytest.mark.parametrize("prior", [False, True])
+@pytest.mark.parametrize("outer", [False, True])
+def test_accumulate_rows_has_the_bits_of_one_accumulate_per_row(
+        monkeypatch, shape, steps, block_rows, prior, outer):
+    if block_rows is not None:
+        monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", block_rows * 8 * shape[0] * shape[1])
+    a, b = shape
+    if outer:
+        left, right = _spread((steps, 1, a), 80), _spread((steps, 1, b), 81)
+        contributions = [x.T @ y for x, y in zip(left, right)]
+    else:
+        left, right = None, _spread((steps,) + shape, 81)
+        contributions = list(right)
+    fast, slow = (Tensor(np.zeros(shape), requires_grad=True) for _ in range(2))
+    if prior:
+        fast.grad = _spread(shape, 82)
+        slow.grad = fast.grad.copy()
+    for c in contributions:
+        ad.accumulate(slow, c)
+    ad.accumulate_rows(fast, right, left)
+    assert fast.grad.tobytes() == slow.grad.tobytes()
+
+
+@pytest.mark.parametrize("steps, n", [(1, 5), (6, 5), (6, 40)])
+def test_stacked_pointer_grad_has_each_steps_bits(steps, n):
+    # a stacked (T, 1, d) @ (d, d)-style product gives every step the bits
+    # of its own call, which one merged (T, d) GEMM would not
+    d = 8
+    keys, v = _spread((n, d), 83) * 1e-6, _spread((d, 1), 84) * 1e-6
+    q, g = _spread((steps, 1, d), 85) * 1e-6, _spread((steps, 1, n), 86)
+    stacked = ad.pointer_grad(g, keys, q, v)
+    for t in range(steps):
+        for got, want in zip(stacked, ad.pointer_grad(g[t], keys, q[t], v)):
+            assert got[t].tobytes() == want.tobytes()
+
+
 def test_first_gradient_write_is_a_copy():
     # add passes the same g to both parents; aliasing would let the second
     # accumulation change the first parent's gradient as well
@@ -264,6 +313,40 @@ def test_adam_first_step_is_lr_signed():
     delta = p.data - before
     # bias-corrected first step moves by ~lr against the gradient sign
     assert np.allclose(delta, -0.01 * np.sign(g), atol=1e-6)
+
+
+@pytest.mark.parametrize("max_grad_norm", [1.0, 1e9, 0.0])  # clipping active, inactive, off
+def test_flat_adam_has_the_bits_of_adam_per_parameter(max_grad_norm):
+    shapes = [(3, 4), (1, 4), (4, 1), (1, 1), (40, 8)]
+    rng = make_rng(23)
+    init = [rng.standard_normal(shape) for shape in shapes]
+    flat = [Tensor(x.copy(), requires_grad=True) for x in init]
+    ref = [Tensor(x.copy(), requires_grad=True) for x in init]
+    state, ref_state = AdamState(flat), tape_reference.AdamReference(ref)
+    clipped = 0
+    for scale in (1e-3, 1e2, 1e-2, 10.0, 1e-4, 1.0):
+        grads = [rng.standard_normal(shape) * scale for shape in shapes]
+        clipped += np.sqrt(sum((g ** 2).sum() for g in grads)) > max_grad_norm > 0
+        adam_step(flat, grads, state, lr=0.01, max_grad_norm=max_grad_norm)
+        tape_reference.adam_step(ref, grads, ref_state, lr=0.01, max_grad_norm=max_grad_norm)
+    assert 0 < clipped < 6 if max_grad_norm == 1.0 else clipped == 0
+    for a, b in zip(flat, ref):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_adam_step_rejects_params_other_than_its_states():
+    # the state updates one flat buffer whose views the parameters are; any
+    # other list would silently update the wrong arrays
+    a, b, twin = (Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
+    state = AdamState([a, b])
+    grads = [np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))]
+    for params in ([b, a], [a], [a, b, twin], [a, twin]):
+        with pytest.raises(DomainError, match="AdamState"):
+            adam_step(params, grads[:len(params)], state, lr=0.1)
+    b.data = b.data.copy()  # no longer a view of the state's buffer
+    with pytest.raises(DomainError, match="AdamState"):
+        adam_step([a, b], grads[:2], state, lr=0.1)
+    assert state.step == 0
 
 
 def test_clip_global_norm():

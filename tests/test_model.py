@@ -232,6 +232,25 @@ def test_training_tape_keeps_no_pair_sized_array():
     assert decoded < 2 * pair_bytes
 
 
+def test_rollout_backward_keeps_no_step_stacked_pair_array():
+    # the backward stacks a rollout's steps, but the pointer heads' (T, n, d)
+    # gradient only in row blocks of about ad._GATV2_BLOCK_BYTES
+    route, g = tiny_graph(n=100, seed=4)
+    params = ModelParams.init(ModelConfig(hidden_dim=64, dropout=0.0), seed=0)
+    E = encode(g, params, training=True, rng=make_rng(5))
+    tour, logp = decode_tape(E, route.start_index, params, greedy=False, rng=make_rng(6))
+    steps_pair_bytes = (g.n - 1) * g.n * 64 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logp._backward(np.ones((1, 1)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert E.grad is not None and params["gru.W_z"].grad is not None
+    assert peak < steps_pair_bytes / 2
+
+
 def _graph_of_size(n, seed):
     """tiny_graph, or for n = 1 its start node alone."""
     if n > 1:

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zoneroute import model, pipeline
+from zoneroute import model, pipeline, routegraph
+from zoneroute import zoning as zoning_module
 from zoneroute.baselines import nearest_neighbor
 from zoneroute.dataio import SynthConfig, generate_synthetic
 from zoneroute.errors import DataError, DomainError
@@ -285,6 +286,26 @@ def test_infer_zoned_decodes_each_zone_like_infer_general():
             pos += len(idx)
         assert res.log_prob == pytest.approx(log_prob, rel=1e-12, abs=1e-12)
     assert decoded >= len(routes)
+
+
+def test_infer_zoned_projects_each_stop_once(monkeypatch):
+    # the stops' projections serve the zone lookup and every zone's graph
+    routes = small_routes(n_routes=6, seed=41)
+    spec = default_grid_spec(routes)
+    zoning = kmeans(collect_cells(routes, 8, spec), 3, seed=1, spec=spec)
+    zms = train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2))
+    calls = []
+
+    def counted(p, grid):
+        calls.append(p)
+        return project(p, grid)
+
+    for module in (routegraph, zoning_module):
+        monkeypatch.setattr(module, "project", counted)
+    for route in routes:
+        calls.clear()
+        infer_zoned(route, zms)
+        assert len(calls) == route.n
 
 
 def test_infer_zoned_stitches_zones_in_nearest_order(spec):
