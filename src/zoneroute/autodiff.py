@@ -9,7 +9,9 @@ whose backward recomputes its tanh).  The math of these, of the nonlinear
 primitives and of the GATv2 pair scores lives in plain-array kernels
 (`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
 into bigger nodes of its own; `accumulate_rows` hands a tensor a stack of
-contributions in order, with the bits of one `accumulate` call each.  Every
+contributions in order, with the bits of one `accumulate` call each, and a
+`Recorder` takes chosen tensors' contributions instead, for `replay` to hand
+them over later, maybe in another process.  Every
 primitive is its forward value plus a function returning its inputs'
 gradients, made a node by `_node`, which hands them over in input order;
 `backward` walks the implicit tape in reverse topological order.  A
@@ -19,6 +21,8 @@ round the module out.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -39,7 +43,7 @@ def make_rng(seed: int) -> np.random.Generator:
 class Tensor:
     """A 2-D float64 array node on the implicit tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "recorder")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
         arr = np.asarray(data, dtype=np.float64)
@@ -55,6 +59,7 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = backward
         self.name = name
+        self.recorder = None  # a `Recorder` that takes its contributions
 
     @property
     def shape(self):
@@ -86,9 +91,51 @@ def record(data, parents, backward, name=""):
     return Tensor(data, name=name)
 
 
+class Recorder:
+    """A context manager that stands in for the `.grad` of a fixed list of
+    tensors: within it, `accumulate` and `accumulate_rows` on one of them
+    append (its index, whether rows, right, left) to `calls` instead of
+    adding anything, each array passed through `keep`, which must copy it
+    (it may be a view of another node's gradient).  `replay` makes the same
+    calls later, on the same tensors or on their twins in another process."""
+
+    def __init__(self, tensors, keep=np.array):
+        self.tensors = list(tensors)
+        self.index = {id(t): k for k, t in enumerate(self.tensors)}
+        self.keep = keep
+        self.calls = []
+
+    def __enter__(self):
+        for t in self.tensors:
+            t.recorder = self
+        return self
+
+    def __exit__(self, *exc):
+        for t in self.tensors:
+            t.recorder = None
+
+    def take(self, t: Tensor, right, left, rows: bool) -> None:
+        self.calls.append((self.index[id(t)], rows, self.keep(right),
+                           None if left is None else self.keep(left)))
+
+
+def replay(tensors, calls):
+    """Make the recorded `calls` on `tensors`, in order: each gradient gets
+    the bits it would have got had they been made where they were recorded."""
+    buf = None
+    for k, rows, right, left in calls:
+        if rows:
+            buf = accumulate_rows(tensors[k], right, left, buf)
+        else:
+            accumulate(tensors[k], right)
+
+
 def accumulate(t: Tensor, g: np.ndarray):
     """Add `g` to `t.grad`.  Float addition is not associative, so the bits
     of a gradient depend on the order of these calls."""
+    if t.recorder is not None:
+        t.recorder.take(t, g, None, False)
+        return
     # the first write copies: g may be a view of another node's gradient
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -132,7 +179,11 @@ def accumulate_rows(t: Tensor, right, left=None, buf=None):
     `sum_rows`), in a few numpy calls.  c_i is right[i] in t's shape, or with `left` the weight
     gradient `weight_grad(left[i], right[i])` of one row each, an exact outer
     product.  Blocks of rows go through `buf` (a flat float64 array), or
-    through a fresh buffer when it is None or too small."""
+    through a fresh buffer when it is None or too small; returns the buffer
+    used, for the next call."""
+    if t.recorder is not None:
+        t.recorder.take(t, right, left, True)
+        return buf
     shape = t.data.shape
     steps = len(right)
     right = right.reshape(steps, -1)
@@ -151,6 +202,7 @@ def accumulate_rows(t: Tensor, right, left=None, buf=None):
         else:
             np.einsum("ti,tj->tij", left[i0:i0 + k], right[i0:i0 + k], out=blk[1:k + 1])
         t.grad = sum_rows(t.grad, blk[:k + 1])
+    return buf
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -291,10 +343,15 @@ def gatv2_grad(g, Hd, Hs, W_edge, attn, edge_t):
 def gru_fwd(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
     """One GRU update on arrays.  Returns (out, (z, r, rh, c)), the second
     being what `gru_grad` needs."""
-    z = 1.0 / (1.0 + np.exp(-(x @ W_z + h @ U_z + b_z)))
-    r = 1.0 / (1.0 + np.exp(-(x @ W_r + h @ U_r + b_r)))
+    return gru_fwd_from(h, x @ W_z, x @ W_r, x @ W_h, U_z, b_z, U_r, b_r, U_h, b_h)
+
+
+def gru_fwd_from(h, xz, xr, xh, U_z, b_z, U_r, b_r, U_h, b_h):
+    """`gru_fwd` given the input's products x W_z, x W_r and x W_h."""
+    z = 1.0 / (1.0 + np.exp(-(xz + h @ U_z + b_z)))
+    r = 1.0 / (1.0 + np.exp(-(xr + h @ U_r + b_r)))
     rh = r * h
-    c = np.tanh(x @ W_h + rh @ U_h + b_h)
+    c = np.tanh(xh + rh @ U_h + b_h)
     return (1.0 - z) * h + z * c, (z, r, rh, c)
 
 
@@ -654,12 +711,16 @@ class AdamState:
     makes each `p.data` a view of it, so that `adam_step` updates them all
     with a few whole-buffer numpy calls.  The moments, the gradient copy and
     one scratch array are buffers of the same size, kept from step to step:
-    a fresh array that big would be a fresh memory mapping every step."""
+    a fresh array that big would be a fresh memory mapping every step.
+    With `shared`, the parameters' buffer is an anonymous shared mapping, so
+    processes forked afterwards see every step."""
 
-    def __init__(self, params):
+    def __init__(self, params, shared: bool = False):
         self.params = list(params)
         self.step = 0
-        self.flat = np.empty(sum(p.data.size for p in self.params))
+        size = sum(p.data.size for p in self.params)
+        self.flat = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64) if shared
+                     else np.empty(size))
         start = 0
         for p in self.params:
             view = self.flat[start:start + p.data.size].reshape(p.data.shape)

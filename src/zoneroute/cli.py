@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 
 from . import dataio, metrics, pipeline
 from .dataio import SynthConfig
 from .errors import DataError, DomainError, NumericError
+from .parallel import usable_cpus
 from .pipeline import TrainConfig
 from .routegraph import tour_length
 from .zoning import clusters_visited, collect_cells, kmeans, load_zoning, save_zoning
@@ -111,7 +111,7 @@ def cmd_train(args) -> int:
     cfg = _parse_config_file(args.config, TrainConfig)
     if args.strategy == "general":
         spec = _grid_spec_for(routes, args.zones)
-        params, log_rows = pipeline.train_general(routes, cfg, spec)
+        params, log_rows = pipeline.train_general(routes, cfg, spec, jobs=args.jobs)
         pipeline.save_general(params, log_rows, args.out, spec)
         print(f"general model trained for {cfg.epochs} epochs -> {args.out}")
     else:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zones")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=len(usable_cpus()))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="greedy inference over routes")

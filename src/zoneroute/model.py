@@ -329,7 +329,9 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     into E.  Only the GRU's recursion runs step by step; everything else
     works on the T steps stacked, (T, 1, d) rows whose products have the
     bits of each step's own, and `ad.accumulate_rows` hands each parameter
-    its T contributions with the bits of T `accumulate` calls.
+    its T contributions with the bits of T `accumulate` calls.  The forward
+    likewise takes every node's GRU input products at once, and a sampled
+    rollout draws its n - 1 uniforms from `rng` in one call.
     """
     n = E.shape[0]
     tour = [start]
@@ -337,20 +339,24 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         return tour, Tensor(0.0)
     Ed = E.data
     gru_w = _gru_params(params)
-    gru_data = [w.data for w in gru_w]
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (w.data for w in gru_w)
     q_w, k_w = _branch_params(params, "q"), _branch_params(params, "k")
     v, W_init = params["ptr.v"], params["dec.W_init"]
     E_mean = ad.mean(Ed, 0)
     h0 = np.tanh(E_mean @ W_init.data)
     keys, k_saved = _branch_fwd(Ed, k_w)
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
+    # every node's GRU input products at once: (n, 1, d) stacks whose rows
+    # have the bits of each (1, d) row's own product
+    x_z, x_r, x_h = (Ed[:, None] @ W for W in (W_z, W_r, W_h))
+    mask = np.ones((1, n), dtype=bool)
+    mask[0, start] = False
+    uniforms = rng.random(n - 1) if forced is None and not greedy else None
     h, total, steps = h0, None, []
     for step in range(1, n):
-        x = Ed[[tour[-1]]]
-        h_next, gru_saved = ad.gru_fwd(h, x, *gru_data)
+        last = tour[-1]
+        h_next, gru_saved = ad.gru_fwd_from(h, x_z[last], x_r[last], x_h[last],
+                                            U_z, b_z, U_r, b_r, U_h, b_h)
         q, q_saved = _branch_fwd(h_next, q_w)
-        mask = ~visited.reshape(1, -1)
         logp, softmax = ad.log_softmax_fwd(ad.pointer_fwd(keys, q, v.data), mask)
         if not np.isfinite(logp).all():
             raise NumericError("non-finite pointer log-probabilities")
@@ -359,19 +365,22 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         elif greedy:
             j = int(np.argmax(logp[0]))
         else:
+            # numpy's `Generator.choice(n, p=probs)`, which draws one uniform
             probs = np.exp(logp[0])
             probs = probs / probs.sum()
-            j = int(rng.choice(n, p=probs))
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(uniforms[step - 1], side="right"))
         total = logp[0, j] if total is None else total + logp[0, j]
-        steps.append((h, x, gru_saved, h_next, q, q_saved, mask, softmax))
+        steps.append((h, gru_saved, h_next, q, q_saved, softmax))
         h = h_next
-        visited[j] = True
+        mask[0, j] = False
         tour.append(j)
 
     def backward(g):
-        H, X, gru_saved, H_next, Q, q_saved, MASK, SOFTMAX = zip(*steps)
+        H, gru_saved, H_next, Q, q_saved, SOFTMAX = zip(*steps)
         T, d = len(steps), Ed.shape[1]
-        g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour[1:], keys, v, Q, SOFTMAX, MASK)
+        g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour, keys, v, Q, SOFTMAX)
         buf = np.empty((ad.block_rows(8 * d * d) + 1) * d * d)
         g_H, factors = _branch_grad_rows(g_Q, _stack(H_next), q_w,
                                          tuple(_stack(c) for c in zip(*q_saved)))
@@ -379,7 +388,7 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
             ad.accumulate_rows(p, right, left, buf)
         del factors  # the query branch's stacks go before the GRU's are built
         g_E_keys = _branch_grad(g_keys, Ed, k_w, k_saved)
-        g_h0, g_x = _gru_grad_steps(g_H, H, X, gru_saved, gru_w, buf)
+        g_h0, g_x = _gru_grad_steps(g_H, H, Ed[tour[:-1], None], gru_saved, gru_w, buf)
         g_pre = g_h0 * (1.0 - h0 * h0)
         ad.accumulate(W_init, E_mean.T @ g_pre)
         ad.accumulate(E, g_E_keys)
@@ -399,13 +408,17 @@ def _stack(rows) -> np.ndarray:
     return np.concatenate(rows)[:, None]
 
 
-def _pointer_heads_grad(g, picks, keys, v, Q, softmax, mask):
+def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
     """The backward of every step's pointer head and log-softmax, for the
     output gradient g of each picked log-probability: hands ptr.v its
     per-step gradients in step order and returns the keys' gradient, summed
-    in step order, and the (T, 1, d) query gradients.  Steps go in blocks
+    in step order, and the (T, 1, d) query gradients.  Step t's mask (the
+    nodes not yet visited) is rebuilt from the tour.  Steps go in blocks
     whose (k, n, d) arrays hold about `ad._GATV2_BLOCK_BYTES` each."""
+    picks = tour[1:]
     T, (n, d) = len(picks), keys.shape
+    position = np.empty(n, dtype=np.int64)
+    position[tour] = np.arange(n)
     rows = ad.block_rows(8 * n * d)
     key_rows = np.empty((min(rows, T) + 1, n, d))
     g_keys, g_Q = None, np.empty((T, 1, d))
@@ -414,8 +427,8 @@ def _pointer_heads_grad(g, picks, keys, v, Q, softmax, mask):
         blk = slice(t0, t0 + k)
         g_lp = np.zeros((k, n))
         g_lp[np.arange(k), picks[blk]] = g
-        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]),
-                                       np.concatenate(mask[blk]))
+        mask = position >= np.arange(t0 + 1, t0 + k + 1)[:, None]
+        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]), mask)
         _, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys, _stack(Q[blk]), v.data,
                                            out=key_rows[1:k + 1])
         g_keys = ad.sum_rows(g_keys, key_rows[:k + 1])
@@ -427,8 +440,8 @@ def _gru_grad_steps(g_H, H, X, saved, gru_w, buf):
     """The GRU's backward through a rollout, g_H[t] being the gradient its
     output at step t gets from the pointer: the recursion runs from the last
     step back, and the nine weights take their per-step gradients in that
-    order.  Returns the gradients of the initial state and of the (T, 1, d)
-    stacked inputs."""
+    order.  X holds the (T, 1, d) stacked inputs.  Returns the gradients of
+    the initial state and of those inputs."""
     W_z, U_z, _, W_r, U_r, _, W_h, U_h, _ = (w.data for w in gru_w)
     gates = [None] * len(H)
     g_h = None
@@ -436,7 +449,7 @@ def _gru_grad_steps(g_H, H, X, saved, gru_w, buf):
         g_t = g_H[t] if g_h is None else g_H[t] + g_h
         g_h, gates[t] = ad.gru_grad_state(g_t, H[t], saved[t], U_z, U_r, U_h)
     gates = tuple(_stack(gate) for gate in zip(*gates))
-    back = [a[::-1] for a in (_stack(H), _stack(X), _stack([s[2] for s in saved])) + gates]
+    back = [a[::-1] for a in (_stack(H), X, _stack([s[2] for s in saved])) + gates]
     for p, (left, right) in zip(gru_w, ad.gru_weight_factors(*back[:3], back[3:])):
         ad.accumulate_rows(p, right, left, buf)
     return g_h, ad.gru_grad_x(gates, W_z, W_r, W_h)
@@ -460,6 +473,13 @@ def decode(E: Tensor, start: int, travel: np.ndarray, params: ModelParams,
                         length=tour_length(tour, travel))
 
 
+def training_draws(n: int, cfg: ModelConfig, samples: int) -> int:
+    """How many doubles one training pass over an n-node route takes from
+    its rng: `encode`'s two (n, d) dropout masks, when dropout is on, then
+    n - 1 uniforms for each of `samples` sampled rollouts."""
+    return (2 * n * cfg.hidden_dim if cfg.dropout > 0.0 else 0) + samples * (n - 1)
+
+
 def tour_log_prob(E: Tensor, tour, params: ModelParams) -> Tensor:
     """Log-probability Tensor of a fixed tour under the current policy."""
     if sorted(tour) != list(range(E.shape[0])):
@@ -470,11 +490,13 @@ def tour_log_prob(E: Tensor, tour, params: ModelParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # loss
 
-def reinforce_loss(log_probs, lengths, baseline: float) -> Tensor:
+def reinforce_loss(log_probs, lengths, baseline: float, rollouts: int | None = None) -> Tensor:
     """Mean over the batch of (length - baseline) * log_prob.
 
     The advantage is a constant with respect to gradients; only the
-    log-probabilities carry derivative information.
+    log-probabilities carry derivative information.  When the rollouts given
+    are part of a batch of `rollouts`, the sum is divided by that count: its
+    backward hands each of them the bits the whole batch's loss would.
     """
     if len(log_probs) == 0:
         raise DomainError("reinforce_loss: empty batch")
@@ -484,4 +506,4 @@ def reinforce_loss(log_probs, lengths, baseline: float) -> Tensor:
         raise DomainError("reinforce_loss: non-finite tour length")
     total = ad.add(*(ad.scale(lp, float(length) - baseline)
                      for lp, length in zip(log_probs, lengths)))
-    return ad.scale(total, 1.0 / len(log_probs))
+    return ad.scale(total, 1.0 / (len(log_probs) if rollouts is None else rollouts))

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import AdamState, make_rng
 from .baselines import nearest_neighbor
 from .dataio import read_json, write_csv, write_json
 from .errors import DataError, DomainError
 from .hexgrid import GeoPoint, GridSpec
 from .model import (DecodeResult, ModelConfig, ModelParams, decode,
-                    decode_tape, encode, reinforce_loss)
+                    decode_tape, encode, reinforce_loss, training_draws)
 from .routegraph import Route, build_graph, project_stops, tour_length
 from .zoning import Zoning, load_zoning, save_zoning, stops_by_zone
 
@@ -78,16 +79,21 @@ def write_log_csv(rows, path) -> None:
 # general training
 
 def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
-                  random_starts: frozenset[int] = frozenset()):
+                  random_starts: frozenset[int] = frozenset(), jobs: int = 1):
     """Minibatch REINFORCE with an EMA baseline and Adam; deterministic per seed.
 
     The routes at the positions in `random_starts` get a fresh uniformly
     random start node each epoch (used for zone sub-instances, which must be
     start-agnostic).  Routes are told apart by position, never by id, so
-    equal ids are harmless.  Returns (params, log_rows).
+    equal ids are harmless.  Each minibatch, and each epoch's greedy eval,
+    is split over up to `jobs` processes (at most one per usable CPU, see
+    `_train_batch`); every result has the same bits for any `jobs`.
+    Returns (params, log_rows).
     """
     if not routes:
         raise DomainError("train_general: no routes")
+    if jobs < 1:
+        raise DomainError(f"train_general: jobs must be >= 1, got {jobs}")
     params = ModelParams.init(cfg.model_config(), seed=derive_seed(cfg.seed, "params"))
     rng = make_rng(derive_seed(cfg.seed, "train"))
 
@@ -98,44 +104,154 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
         eval_positions = range(n_train, len(routes))
 
     graphs = [build_graph(r, spec) for r in routes]
-    state = AdamState(params.as_list())
+    cpus = parallel.usable_cpus()
+    procs = min(jobs, cfg.batch_size, n_train, len(cpus))
+    if procs > 1 and not parallel.supported():
+        procs = 1
+    # workers see each Adam step through the shared parameter buffer
+    state = AdamState(params.as_list(), shared=procs > 1)
+    share = _Share(routes, graphs, params, cfg.samples_per_route)
     baseline = None
     log_rows = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = np.arange(n_train)
-        rng.shuffle(order)
-        sampled_lengths = []
-        for chunk_start in range(0, len(order), cfg.batch_size):
-            batch = [int(i) for i in order[chunk_start:chunk_start + cfg.batch_size]]
-            lengths, baseline = _train_batch(batch, routes, graphs, params, state, baseline,
-                                             cfg, rng, random_starts)
-            sampled_lengths.extend(lengths)
-        greedy_lengths = [_greedy(graphs[i], routes[i], params).length for i in eval_positions]
-        log_rows.append((epoch, float(np.mean(sampled_lengths)),
-                         float(np.mean(greedy_lengths)), baseline))
+    with parallel.Team(procs - 1, share.serve, cpus) as team:
+        for epoch in range(1, cfg.epochs + 1):
+            order = np.arange(n_train)
+            rng.shuffle(order)
+            sampled_lengths = []
+            for chunk_start in range(0, len(order), cfg.batch_size):
+                batch = [int(i) for i in order[chunk_start:chunk_start + cfg.batch_size]]
+                lengths, baseline = _train_batch(batch, share, team, state, baseline,
+                                                 cfg, rng, random_starts)
+                sampled_lengths.extend(lengths)
+            greedy_lengths, _ = _in_chunks(team, share, "greedy_lengths", list(eval_positions))
+            log_rows.append((epoch, float(np.mean(sampled_lengths)),
+                             float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
 
 
-def _train_batch(batch, routes, graphs, params, state, baseline, cfg, rng, random_starts):
+class _Share:
+    """One process's share of general training: the sampled rollouts of some
+    routes of a minibatch, their backward, and greedy eval decodes.  This
+    process and every worker hold one over the same routes and graphs, and
+    over parameters whose data they share."""
+
+    def __init__(self, routes, graphs, params: ModelParams, samples: int):
+        self.routes, self.graphs, self.params, self.samples = routes, graphs, params, samples
+        self.rng = make_rng(0)  # each route restores its own snapshot
+        self.log_probs, self.lengths = [], []
+
+    def forward(self, items) -> list[float]:
+        """Sampled rollouts of (position, start, rng state) items, each route
+        drawing from a Generator in its state; returns their tour lengths."""
+        self.log_probs, self.lengths = [], []
+        for i, start, rng_state in items:
+            self.rng.bit_generator.state = rng_state
+            E = encode(self.graphs[i], self.params, training=True, rng=self.rng)
+            for _ in range(self.samples):
+                tour, logp = decode_tape(E, start, self.params, greedy=False, rng=self.rng)
+                self.log_probs.append(logp)
+                self.lengths.append(tour_length(tour, self.routes[i].travel))
+        return self.lengths
+
+    def backward(self, baseline: float, rollouts: int) -> None:
+        """The backward of these rollouts' share of the REINFORCE loss of a
+        batch of `rollouts` rollouts; frees their tape."""
+        loss = reinforce_loss(self.log_probs, self.lengths, baseline, rollouts)
+        self.log_probs = []
+        ad.backward(loss)
+
+    def rollouts(self, items, baseline, rollouts: int) -> list[float]:
+        """`forward` of `items`, followed by their `backward` unless the
+        baseline is still None; returns their tour lengths."""
+        lengths = self.forward(items)
+        if baseline is not None:
+            self.backward(baseline, rollouts)
+        return lengths
+
+    def greedy_lengths(self, positions) -> list[float]:
+        return [_greedy(self.graphs[i], self.routes[i], self.params).length for i in positions]
+
+    def serve(self, request, buffer: parallel.SharedBuffer):
+        """A worker's answer to (method name, *args): the method's result and
+        the list of calls for `ad.replay` that a backward made on the
+        parameters, which are recorded into `buffer`, not added; the calls
+        hold buffer handles for arrays."""
+        op, *args = request
+        buffer.clear()
+        with ad.Recorder(self.params.as_list(), buffer.store) as recorder:
+            out = getattr(self, op)(*args)
+        return out, recorder.calls
+
+
+def _split(items, parts: int) -> list:
+    """`items` cut into at most `parts` contiguous non-empty chunks of sizes
+    differing by at most one, the later chunks taking the larger."""
+    parts = max(1, min(parts, len(items)))
+    small, larger = divmod(len(items), parts)
+    bounds = np.cumsum([0] + [small] * (parts - larger) + [small + 1] * larger)
+    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args):
+    """`share.op(chunk, *args)` over `items` cut into chunks: this process
+    runs the first, worker k the (k + 1)-th.  Returns the results joined in
+    item order, and the gradient calls recorded by each worker that took a
+    chunk, in chunk order."""
+    chunks = _split(items, team.size + 1)
+    for k, chunk in enumerate(chunks[1:]):
+        team.send(k, (op, chunk, *args))
+    out = list(getattr(share, op)(chunks[0], *args))
+    calls = []
+    for k in range(len(chunks) - 1):
+        part, recorded = team.recv(k)
+        out += part
+        calls.append(recorded)
+    return out, calls
+
+
+def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg, rng,
+                 random_starts):
     """One minibatch of route positions: sampled rollouts, REINFORCE loss,
     backward and Adam.  Returns (sampled lengths, updated baseline); the
     batch's tape and every gradient, the parameters' included, are freed on
-    return."""
-    log_probs, lengths = [], []
+    return.
+
+    For each route in batch order, `rng` draws its random start, if it has
+    one, and is then copied and moved past the draws the route's training
+    pass takes (`training_draws`); the route runs on a Generator in the copied
+    state, wherever it runs.  The batch is cut into contiguous chunks of
+    routes, the first for this process and the others for the workers.  Each
+    process runs its chunk's rollouts and backpropagates their share of the
+    loss, in one request; only the first batch, whose baseline is its own
+    mean, sends every length back before any backward starts.  The workers'
+    parameter gradients are then replayed here chunk after chunk.  That is
+    the order in which the whole batch's one backward hands them over: its
+    reversed topological order takes the routes one at a time, the samples
+    of a route together, and no parameter serves both the encoder and the
+    decoder."""
+    routes, config = share.routes, share.params.config
+    items = []
     for i in batch:
         route = routes[i]
         start = int(rng.integers(route.n)) if i in random_starts else route.start_index
-        E = encode(graphs[i], params, training=True, rng=rng)
-        for _ in range(cfg.samples_per_route):
-            tour, logp = decode_tape(E, start, params, greedy=False, rng=rng)
-            log_probs.append(logp)
-            lengths.append(tour_length(tour, route.travel))
+        items.append((i, start, rng.bit_generator.state))
+        rng.random(training_draws(route.n, config, cfg.samples_per_route))
+    rollouts = len(items) * cfg.samples_per_route
+    lengths, calls = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-    plist = params.as_list()
-    grads = ad.backward(reinforce_loss(log_probs, lengths, baseline), plist)
+        for k in range(len(calls)):
+            team.send(k, ("backward", baseline, rollouts))
+        share.backward(baseline, rollouts)
+        calls = [team.recv(k)[1] for k in range(len(calls))]
+    plist = share.params.as_list()
+    for buffer, recorded in zip(team.buffers, calls):
+        ad.replay(plist, [(p, rows, buffer.array(right),
+                           None if left is None else buffer.array(left))
+                          for p, rows, right, left in recorded])
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in plist]
     ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     for p in plist:
         p.grad = None

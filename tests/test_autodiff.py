@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,82 @@ def test_stacked_pointer_grad_has_each_steps_bits(steps, n):
     for t in range(steps):
         for got, want in zip(stacked, ad.pointer_grad(g[t], keys, q[t], v)):
             assert got[t].tobytes() == want.tobytes()
+
+
+def _contribute(tensors, seed):
+    """accumulate and accumulate_rows calls of every kind on three tensors;
+    each array passed is overwritten after the call."""
+    a, b, c = tensors
+    calls = [(ad.accumulate, a, ((4, 4),)), (ad.accumulate_rows, a, ((5, 1, 4), (5, 1, 4))),
+             (ad.accumulate_rows, b, ((6, 1, 4),)), (ad.accumulate, c, ((3, 2),)),
+             (ad.accumulate, b, ((1, 4),)), (ad.accumulate_rows, c, ((2, 3, 2),))]
+    for k, (call, t, shapes) in enumerate(calls):
+        arrays = [_spread(shape, seed + 10 * k + i) for i, shape in enumerate(shapes)]
+        call(t, *arrays[::-1])  # accumulate_rows takes (right, left)
+        for x in arrays:
+            x[...] = np.nan
+
+
+def test_recorded_contributions_replay_with_the_bits_of_the_calls():
+    # contributions to two of three tensors are recorded instead of added,
+    # then replayed onto twins holding the same prior gradient: the twins
+    # end with the bits the calls give when made directly
+    shapes = [(4, 4), (1, 4), (3, 2)]
+    direct, recorded, twins = ([Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+                               for _ in range(3))
+    for k, shape in enumerate(shapes):
+        direct[k].grad, twins[k].grad = _spread(shape, 90 + k), _spread(shape, 90 + k)
+    _contribute(direct, 100)
+    with ad.Recorder(recorded[:2]) as recorder:
+        _contribute(recorded, 100)
+    assert recorded[0].grad is None and recorded[1].grad is None
+    assert recorded[2].grad is not None  # not recorded: added as usual
+    assert [(k, rows) for k, rows, _, _ in recorder.calls] == [
+        (0, False), (0, True), (1, True), (1, False)]
+    ad.replay(twins, recorder.calls)
+    for a, b in zip(direct[:2], twins[:2]):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    ad.accumulate(recorded[0], np.ones((4, 4)))  # recording ends with the block
+    assert recorded[0].grad is not None and len(recorder.calls) == 4
+
+
+def _read_exactly(fd, size):
+    out = b""
+    while len(out) < size:
+        chunk = os.read(fd, size - len(out))
+        assert chunk, "pipe ended early"
+        out += chunk
+    return out
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_shared_adam_state_has_the_bits_of_a_private_one_and_reaches_a_fork():
+    shapes = [(3, 4), (1, 4), (40, 8)]
+    rng = make_rng(24)
+    init = [rng.standard_normal(shape) for shape in shapes]
+    private, shared = ([Tensor(x.copy(), requires_grad=True) for x in init] for _ in range(2))
+    states = AdamState(private), AdamState(shared, shared=True)
+    go_r, go_w = os.pipe()
+    seen_r, seen_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # after the parent's steps, the child reports what it sees
+        try:
+            _read_exactly(go_r, 1)
+            os.write(seen_w, shared[2].data.tobytes())
+        finally:
+            os._exit(0)
+    for scale in (1e-3, 1e2, 1.0):
+        grads = [rng.standard_normal(shape) * scale for shape in shapes]
+        for params, state in zip((private, shared), states):
+            adam_step(params, grads, state, lr=0.01)
+    for a, b in zip(private, shared):
+        assert a.data.tobytes() == b.data.tobytes()
+    os.write(go_w, b"x")
+    seen = _read_exactly(seen_r, shared[2].data.nbytes)
+    os.waitpid(pid, 0)
+    for fd in (go_r, go_w, seen_r, seen_w):
+        os.close(fd)
+    assert seen == shared[2].data.tobytes() != init[2].tobytes()
 
 
 def test_first_gradient_write_is_a_copy():

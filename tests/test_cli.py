@@ -2,6 +2,7 @@ import base64
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zoneroute
-from zoneroute import cli, dataio
+from zoneroute import autodiff as ad
+from zoneroute import cli, dataio, pipeline
 from zoneroute.errors import NumericError
 from zoneroute.routegraph import Route
 
@@ -486,6 +488,71 @@ def test_train_jobs_below_one_is_a_usage_error(tmp_path, jobs, capsys):
                      "--out", str(tmp_path / "z"), "--jobs", jobs]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--jobs" in err and err.count("\n") == 1
+
+
+def test_train_jobs_defaults_to_the_usable_cpus(monkeypatch):
+    argv = ["train", "--strategy", "general", "--routes", "r", "--config", "c", "--out", "o"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert cli.build_parser().parse_args(argv).jobs == 2  # taskset or a cpuset: 2 of 64
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.build_parser().parse_args(argv).jobs == 64
+
+
+def _tree(root):
+    return {os.path.relpath(os.path.join(d, f), root): read_bytes(os.path.join(d, f))
+            for d, _, files in os.walk(root) for f in files}
+
+
+def _train_general(workspace, out, jobs):
+    tmp_path, routes, train_cfg = workspace
+    return cli.main(["train", "--strategy", "general", "--routes", routes, "--config", train_cfg,
+                     "--out", str(tmp_path / out), "--jobs", jobs])
+
+
+def test_general_training_writes_the_same_checkpoint_for_any_jobs(workspace, forked_workers):
+    assert _train_general(workspace, "one", "1") == 0
+    assert _train_general(workspace, "two", "2") == 0
+    assert forked_workers == [0, 1]
+    tmp_path = workspace[0]
+    one, two = _tree(tmp_path / "one"), _tree(tmp_path / "two")
+    assert sorted(one) == ["general.ckpt.json", "grid.json", "train_log.csv"]
+    assert one == two
+
+
+def _in_workers(monkeypatch, module, name, fault):
+    """Patch module.name so that in a forked worker it calls fault(result)."""
+    parent, real = os.getpid(), getattr(module, name)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if os.getpid() == parent else fault(out)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _exit_in_worker(_):
+    os._exit(9)
+
+
+@pytest.mark.parametrize("fault, code, line", [
+    # the decoder emits NaN logits, which its check turns into a NumericError
+    ((ad, "pointer_fwd", lambda logits: logits * np.nan), 3,
+     "numeric error: non-finite pointer log-probabilities\n"),
+    # the worker dies while it encodes a route
+    ((pipeline, "encode", _exit_in_worker), 2,
+     "data error: worker process 1 stopped unexpectedly (exit code 9)\n"),
+])
+def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers, monkeypatch,
+                                                      capfd, fault, code, line):
+    _in_workers(monkeypatch, *fault)
+    mask = os.sched_getaffinity(0)
+    capfd.readouterr()
+    assert _train_general(workspace, "failed", "2") == code
+    assert forked_workers == [1]
+    assert capfd.readouterr().err == line
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_output_in_a_missing_directory_names_the_output(shared_run, capsys):

@@ -377,6 +377,37 @@ def test_reinforce_loss_hand_value():
         reinforce_loss(lps, [1.0], 0.0)
 
 
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_training_draws_is_what_a_training_pass_takes(n, dropout, samples):
+    # training moves the rng past a route's draws without making them
+    _, g = _graph_of_size(n, seed=n)
+    params = ModelParams.init(ModelConfig(hidden_dim=8, dropout=dropout), seed=3)
+    used, skipped = make_rng(31), make_rng(31)
+    E = encode(g, params, training=True, rng=used)
+    for _ in range(samples):
+        decode_tape(E, 0, params, greedy=False, rng=used)
+    skipped.random(model.training_draws(n, params.config, samples))
+    state = [repr(rng.bit_generator.state) for rng in (used, skipped)]
+    assert state[0] == state[1]
+    assert used.random(3).tobytes() == skipped.random(3).tobytes()
+
+
+def test_reinforce_loss_share_of_a_batch_has_the_whole_batchs_gradients():
+    # each rollout's gradient from its share of a batch's loss, divided by
+    # the batch's rollout count, has the bits of the whole batch's loss
+    values, lengths, baseline = [-1.3, -0.7, -2.9], [10.0, 4.0, 7.5], 6.1
+    whole = [Tensor(np.array([[v]]), requires_grad=True) for v in values]
+    ad.backward(reinforce_loss(whole, lengths, baseline))
+    parts = [Tensor(np.array([[v]]), requires_grad=True) for v in values]
+    for part in ([0], [1, 2]):
+        ad.backward(reinforce_loss([parts[i] for i in part], [lengths[i] for i in part],
+                                   baseline, rollouts=3))
+    for a, b in zip(whole, parts):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
 def test_decode_rejects_bad_start():
     route, g = tiny_graph(n=4, seed=17)
     params = ModelParams.init(CFG8, seed=18)

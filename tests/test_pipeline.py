@@ -1,13 +1,15 @@
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import shutil
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zoneroute import model, pipeline, routegraph
+from zoneroute import model, parallel, pipeline, routegraph
 from zoneroute import zoning as zoning_module
 from zoneroute.baselines import nearest_neighbor
 from zoneroute.dataio import SynthConfig, generate_synthetic
@@ -158,6 +160,88 @@ def test_training_is_byte_identical_to_the_tape_composition(monkeypatch):
     assert fused_log == taped_log
     for name in fused.names():
         assert np.array_equal(fused[name].data, taped[name].data), name
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_training_has_the_bits_of_the_tape_composition_for_any_jobs(
+        monkeypatch, forked_workers, jobs):
+    # minibatches of three routes, cut into chunks of one and two routes
+    # over two processes or of one route each over three; two sampled
+    # rollouts per route, one route with a random start, dropout on: any
+    # process count gives the bits of the one-node-per-operation tape run
+    # in one process
+    routes = small_routes()
+    spec = default_grid_spec(routes)
+    cfg = TrainConfig(epochs=2, batch_size=3, samples_per_route=2, hidden_dim=8,
+                      dropout=0.2, seed=6)
+    random_starts = frozenset({2})
+    with monkeypatch.context() as tape:
+        tape.setattr(pipeline, "encode", tape_reference.encode)
+        tape.setattr(model, "_run_decoder", tape_reference.run_decoder)
+        taped, taped_log = train_general(routes, cfg, spec, random_starts=random_starts)
+    cpus = parallel.usable_cpus()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus + cpus)  # 3 processes on 2 CPUs
+    fused, fused_log = train_general(routes, cfg, spec, random_starts=random_starts, jobs=jobs)
+    assert forked_workers == [0, jobs - 1]
+    assert fused_log == taped_log
+    for name in fused.names():
+        assert np.array_equal(fused[name].data, taped[name].data), name
+    assert multiprocessing.active_children() == []
+
+
+def test_each_minibatch_after_the_first_is_one_exchange_with_a_worker(monkeypatch,
+                                                                     forked_workers):
+    # the first batch's baseline is its own mean, so its backward waits for
+    # every length; each later batch sends its rollouts and backward at once
+    sent = []
+    send = parallel.Team.send
+    monkeypatch.setattr(parallel.Team, "send",
+                        lambda team, k, request: sent.append(request[0]) or send(team, k, request))
+    routes = small_routes()  # 8 routes: 4 batches of 2 an epoch, all 8 evaluated
+    train_general(routes, TrainConfig(epochs=2, hidden_dim=8, seed=2),
+                  default_grid_spec(routes), jobs=2)
+    assert forked_workers == [1]
+    epoch = ["rollouts"] * 4 + ["greedy_lengths"]
+    assert sent == epoch[:1] + ["backward"] + epoch[1:] + epoch
+
+
+def test_a_receive_polls_then_waits_for_the_message_or_the_end_of_the_pipe(monkeypatch):
+    monkeypatch.setattr(parallel, "POLL_S", 0.01)
+    here, there = multiprocessing.Pipe()
+    late = threading.Timer(0.1, there.send, args=("late",))
+    late.start()
+    assert parallel._receive(here) == "late"  # sent after the polling ended
+    late.join()
+    there.close()
+    with pytest.raises(EOFError):
+        parallel._receive(here)
+
+
+def test_general_training_runs_in_one_process_where_workers_cannot(monkeypatch):
+    started = []
+    enter = parallel.Team.__enter__
+    monkeypatch.setattr(parallel.Team, "__enter__",
+                        lambda team: started.append(team.size) or enter(team))
+    monkeypatch.setattr(parallel, "single_threaded", lambda: False)
+    routes = small_routes(n_routes=4, seed=12)
+    train_general(routes, TrainConfig(epochs=1, hidden_dim=8, seed=2),
+                  default_grid_spec(routes), jobs=4)
+    assert started == [0]
+    with pytest.raises(DomainError, match="jobs"):
+        train_general(routes, TrainConfig(epochs=1, seed=2), default_grid_spec(routes), jobs=0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_a_second_thread_makes_the_process_unfit_to_fork():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not parallel.single_threaded()
+        assert not parallel.supported()
+    finally:
+        release.set()
+        thread.join()
 
 
 def test_zoned_k1_matches_general_bit_exactly():
