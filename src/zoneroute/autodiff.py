@@ -712,15 +712,14 @@ class AdamState:
     with a few whole-buffer numpy calls.  The moments, the gradient copy and
     one scratch array are buffers of the same size, kept from step to step:
     a fresh array that big would be a fresh memory mapping every step.
-    With `shared`, the parameters' buffer is an anonymous shared mapping, so
-    processes forked afterwards see every step."""
+    The parameters' buffer is an anonymous shared mapping, so processes
+    forked afterwards see every step."""
 
-    def __init__(self, params, shared: bool = False):
+    def __init__(self, params):
         self.params = list(params)
         self.step = 0
         size = sum(p.data.size for p in self.params)
-        self.flat = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64) if shared
-                     else np.empty(size))
+        self.flat = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
         start = 0
         for p in self.params:
             view = self.flat[start:start + p.data.size].reshape(p.data.shape)
@@ -738,16 +737,6 @@ def global_norm(grads) -> float:
     """The L2 norm of a gradient list: each array's sum of squares, added in
     list order."""
     return np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
-
-
-def clip_global_norm(grads, max_norm: float):
-    """Scale the gradient list in place so its global L2 norm is <= max_norm."""
-    total = global_norm(grads)
-    if total > max_norm > 0:
-        factor = max_norm / total
-        for g in grads:
-            g *= factor
-    return grads
 
 
 # Adam's decay rates for the first and second moments, and its denominator floor

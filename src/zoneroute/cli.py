@@ -12,6 +12,8 @@ import dataclasses
 import functools
 import sys
 
+import numpy as np
+
 from . import dataio, metrics, pipeline
 from .dataio import SynthConfig
 from .errors import DataError, DomainError, NumericError
@@ -149,6 +151,8 @@ def cmd_eval(args) -> int:
 
     rows = []
     for route in routes:
+        if route.n == 1:  # a station alone: no tour, so no error to measure
+            continue
         if route.actual_order is None:
             raise DataError(f"{args.routes}: route {route.id}: "
                             f"no ground-truth sequence for evaluation")
@@ -166,13 +170,15 @@ def cmd_eval(args) -> int:
                                      pred_general_s=preds["general"],
                                      pred_zoned_s=preds["zoned"]))
 
+    if not rows:
+        raise DataError(f"{args.routes}: no route of two or more stops to evaluate")
     report = metrics.build_report(rows)
     metrics.save_report_json(report, args.out)
     if args.csv:
         metrics.save_report_csv(rows, args.csv)
     if args.plot_data:
         metrics.save_plot_data_csv(rows, args.plot_data)
-    print(f"evaluated {len(rows)} routes: "
+    print(f"evaluated {len(rows)} routes ({len(routes) - len(rows)} one-stop left out): "
           f"general MAPE {report['aggregates']['general']['mape']:.2f}% / "
           f"zoned MAPE {report['aggregates']['zoned']['mape']:.2f}% -> {args.out}")
     return EXIT_OK
@@ -246,7 +252,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # no numpy warning for each overflow, in forked workers too (they
+        # inherit the setting); the tape's nodes check for non-finite values
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

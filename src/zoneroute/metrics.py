@@ -8,7 +8,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .dataio import read_json, write_csv, write_json
+from .dataio import write_csv, write_json
 from .errors import DomainError
 
 QUANTILES = (0.25, 0.5, 0.75, 0.9)
@@ -125,16 +125,6 @@ def build_report(rows: list[RouteRow]) -> dict:
 
 def save_report_json(report: dict, path) -> None:
     write_json(path, report, indent=1)
-
-
-def _checked_report(report) -> dict:
-    if "rows" not in report or "aggregates" not in report:
-        raise ValueError("expected 'rows' and 'aggregates'")
-    return report
-
-
-def load_report_json(path) -> dict:
-    return read_json(path, _checked_report)
 
 
 def save_report_csv(rows: list[RouteRow], path) -> None:

@@ -93,17 +93,16 @@ class ModelParams:
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
         rng = ad.make_rng(seed)
-        tensors = {}
+        arrays = {}
         for name, shape in _param_layout(cfg):
-            if name.endswith("ln_gain") or name.endswith("_gain"):
-                data = np.ones(shape)
+            if name.endswith("_gain"):
+                arrays[name] = np.ones(shape)
             elif name.endswith("bias") or name.startswith("gru.b"):
-                data = np.zeros(shape)
+                arrays[name] = np.zeros(shape)
             else:
                 bound = 1.0 / np.sqrt(shape[0])
-                data = rng.uniform(-bound, bound, size=shape)
-            tensors[name] = Tensor(data, requires_grad=True, name=name)
-        return cls(config=cfg, tensors=tensors)
+                arrays[name] = rng.uniform(-bound, bound, size=shape)
+        return cls.from_arrays(cfg, arrays)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -236,7 +235,7 @@ def encode(g: RouteGraph, params: ModelParams, training: bool = False,
         np.add.at(g_embed, idx, g_H[:, n_feat:])
         ad.accumulate(embed, g_embed)
 
-    return ad.record(H, [embed] + [p for ps in layers for p in ps], backward)
+    return ad.record(H, [embed] + [p for ps in layers for p in ps], backward, name="encode")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         ad.accumulate(E, g_rows)
 
     params_used = gru_w + q_w + k_w + [v, W_init]
-    return tour, ad.record(total, [E] + params_used, backward)
+    return tour, ad.record(total, [E] + params_used, backward, name="decoder rollout")
 
 
 def _stack(rows) -> np.ndarray:

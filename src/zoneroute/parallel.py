@@ -5,8 +5,8 @@ share with the process that started them.
 Forking lets the workers start with everything the parent built, shared
 mappings included, with nothing pickled.  This needs fork, CPU affinity and
 memfd, that is Linux, and a process with no other threads; `supported()`
-says whether all are there, and a caller runs everything in its own process
-where they are not.
+says whether all are there, and where they are not a `Team` starts no
+worker, so its caller runs everything in its own process.
 
 Each process polls its pipe for up to `POLL_S` before it sleeps on it.  A
 process that sleeps leaves its CPU idle, and on a virtual machine an idle
@@ -106,20 +106,24 @@ class SharedBuffer:
 
 
 class Team:
-    """A context manager holding `count` forked workers.  Within it, this
-    process runs on cpus[0] and worker k on cpus[k + 1]; on exit the pipes
-    close, the workers end and this process's affinity mask is restored.
+    """A context manager holding the forked workers that let `processes`
+    processes, this one included, run at once: at most one process per usable
+    CPU, and no worker where `supported()` says none may be forked.  Within
+    it, this process runs on the first usable CPU and worker k on the
+    (k + 2)-th; on exit the pipes close, the workers end and this process's
+    affinity mask is restored.
 
     Worker k answers each request `send(k, request)` makes with
     `serve(request, buffers[k])`, which `recv(k)` returns, or with the type
     and message of the exception it raised, which `recv(k)` raises.  A worker
-    that stops without answering makes `recv` raise ChildProcessError.  With
-    `count` 0 nothing is started."""
+    that stops without answering makes `recv` raise ChildProcessError.
+    `size` is the number of workers; with 0 nothing is started."""
 
-    def __init__(self, count: int, serve, cpus):
-        self.size = count
+    def __init__(self, processes: int, serve):
+        self.cpus = usable_cpus()
+        processes = min(processes, len(self.cpus))
+        self.size = processes - 1 if processes > 1 and supported() else 0
         self.serve = serve
-        self.cpus = cpus
         self.conns, self.procs, self.buffers = [], [], []
         self.mask = None
 

@@ -86,8 +86,8 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
     random start node each epoch (used for zone sub-instances, which must be
     start-agnostic).  Routes are told apart by position, never by id, so
     equal ids are harmless.  Each minibatch, and each epoch's greedy eval,
-    is split over up to `jobs` processes (at most one per usable CPU, see
-    `_train_batch`); every result has the same bits for any `jobs`.
+    is split over up to `jobs` processes (as many as `parallel.Team` can
+    run, see `_train_batch`); every result has the same bits for any `jobs`.
     Returns (params, log_rows).
     """
     if not routes:
@@ -104,17 +104,13 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
         eval_positions = range(n_train, len(routes))
 
     graphs = [build_graph(r, spec) for r in routes]
-    cpus = parallel.usable_cpus()
-    procs = min(jobs, cfg.batch_size, n_train, len(cpus))
-    if procs > 1 and not parallel.supported():
-        procs = 1
-    # workers see each Adam step through the shared parameter buffer
-    state = AdamState(params.as_list(), shared=procs > 1)
+    # workers see each Adam step through the state's shared parameter buffer
+    state = AdamState(params.as_list())
     share = _Share(routes, graphs, params, cfg.samples_per_route)
     baseline = None
     log_rows = []
 
-    with parallel.Team(procs - 1, share.serve, cpus) as team:
+    with parallel.Team(min(jobs, cfg.batch_size, n_train), share.serve) as team:
         for epoch in range(1, cfg.epochs + 1):
             order = np.arange(n_train)
             rng.shuffle(order)
@@ -141,19 +137,6 @@ class _Share:
         self.rng = make_rng(0)  # each route restores its own snapshot
         self.log_probs, self.lengths = [], []
 
-    def forward(self, items) -> list[float]:
-        """Sampled rollouts of (position, start, rng state) items, each route
-        drawing from a Generator in its state; returns their tour lengths."""
-        self.log_probs, self.lengths = [], []
-        for i, start, rng_state in items:
-            self.rng.bit_generator.state = rng_state
-            E = encode(self.graphs[i], self.params, training=True, rng=self.rng)
-            for _ in range(self.samples):
-                tour, logp = decode_tape(E, start, self.params, greedy=False, rng=self.rng)
-                self.log_probs.append(logp)
-                self.lengths.append(tour_length(tour, self.routes[i].travel))
-        return self.lengths
-
     def backward(self, baseline: float, rollouts: int) -> None:
         """The backward of these rollouts' share of the REINFORCE loss of a
         batch of `rollouts` rollouts; frees their tape."""
@@ -162,12 +145,20 @@ class _Share:
         ad.backward(loss)
 
     def rollouts(self, items, baseline, rollouts: int) -> list[float]:
-        """`forward` of `items`, followed by their `backward` unless the
-        baseline is still None; returns their tour lengths."""
-        lengths = self.forward(items)
+        """Sampled rollouts of (position, start, rng state) items, each route
+        drawing from a Generator in its state, followed by their `backward`
+        unless the baseline is still None; returns their tour lengths."""
+        self.log_probs, self.lengths = [], []
+        for i, start, rng_state in items:
+            self.rng.bit_generator.state = rng_state
+            E = encode(self.graphs[i], self.params, training=True, rng=self.rng)
+            for _ in range(self.samples):
+                tour, logp = decode_tape(E, start, self.params, greedy=False, rng=self.rng)
+                self.log_probs.append(logp)
+                self.lengths.append(tour_length(tour, self.routes[i].travel))
         if baseline is not None:
             self.backward(baseline, rollouts)
-        return lengths
+        return self.lengths
 
     def greedy_lengths(self, positions) -> list[float]:
         return [_greedy(self.graphs[i], self.routes[i], self.params).length for i in positions]
@@ -333,10 +324,14 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: the CLI stages that never train zones skip loading multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_zone_worker, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_train_zone_worker, tasks))
+        except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
+            raise ChildProcessError("zone training: a worker process stopped "
+                                    "unexpectedly") from exc
     else:
         results = [_train_zone_worker(t) for t in tasks]
 

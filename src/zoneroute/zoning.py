@@ -148,22 +148,6 @@ def clusters_visited(route: Route, z: Zoning) -> int:
     return len(stops_by_zone(route, z))
 
 
-def inertia(z: Zoning) -> float:
-    """Sum of squared distances from mapped cell centroids to their zone centers."""
-    total = 0.0
-    for cell, zone in z.cell_to_zone.items():
-        c = centroid(cell, z.spec)
-        total += float((c.x - z.centroids[zone, 0]) ** 2 + (c.y - z.centroids[zone, 1]) ** 2)
-    return total
-
-
-def zone_sizes(z: Zoning) -> list[int]:
-    sizes = [0] * z.k
-    for zone in z.cell_to_zone.values():
-        sizes[zone] += 1
-    return sizes
-
-
 # ---------------------------------------------------------------------------
 # zones file
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zoneroute.autodiff as ad
-from zoneroute.autodiff import AdamState, Tensor, adam_step, backward, clip_global_norm, grad_check, make_rng
+from zoneroute.autodiff import AdamState, Tensor, adam_step, backward, grad_check, make_rng
 from zoneroute.errors import DomainError, NumericError
 
 import tape_reference
@@ -255,33 +255,32 @@ def _read_exactly(fd, size):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_shared_adam_state_has_the_bits_of_a_private_one_and_reaches_a_fork():
+def test_adam_steps_reach_a_process_forked_before_them():
+    # the parameters' flat buffer is a shared mapping, so a worker forked
+    # before training sees every step
     shapes = [(3, 4), (1, 4), (40, 8)]
     rng = make_rng(24)
     init = [rng.standard_normal(shape) for shape in shapes]
-    private, shared = ([Tensor(x.copy(), requires_grad=True) for x in init] for _ in range(2))
-    states = AdamState(private), AdamState(shared, shared=True)
+    params = [Tensor(x.copy(), requires_grad=True) for x in init]
+    state = AdamState(params)
     go_r, go_w = os.pipe()
     seen_r, seen_w = os.pipe()
     pid = os.fork()
     if pid == 0:  # after the parent's steps, the child reports what it sees
         try:
             _read_exactly(go_r, 1)
-            os.write(seen_w, shared[2].data.tobytes())
+            os.write(seen_w, params[2].data.tobytes())
         finally:
             os._exit(0)
     for scale in (1e-3, 1e2, 1.0):
-        grads = [rng.standard_normal(shape) * scale for shape in shapes]
-        for params, state in zip((private, shared), states):
-            adam_step(params, grads, state, lr=0.01)
-    for a, b in zip(private, shared):
-        assert a.data.tobytes() == b.data.tobytes()
+        adam_step(params, [rng.standard_normal(shape) * scale for shape in shapes], state,
+                  lr=0.01)
     os.write(go_w, b"x")
-    seen = _read_exactly(seen_r, shared[2].data.nbytes)
+    seen = _read_exactly(seen_r, params[2].data.nbytes)
     os.waitpid(pid, 0)
     for fd in (go_r, go_w, seen_r, seen_w):
         os.close(fd)
-    assert seen == shared[2].data.tobytes() != init[2].tobytes()
+    assert seen == params[2].data.tobytes() != init[2].tobytes()
 
 
 def test_first_gradient_write_is_a_copy():
@@ -425,20 +424,6 @@ def test_adam_step_rejects_params_other_than_its_states():
     with pytest.raises(DomainError, match="AdamState"):
         adam_step([a, b], grads[:2], state, lr=0.1)
     assert state.step == 0
-
-
-def test_clip_global_norm():
-    grads = [np.full((2, 2), 3.0), np.full((1, 4), 4.0)]
-    before = [g.copy() for g in grads]
-    total = np.sqrt(sum((g ** 2).sum() for g in before))
-    clip_global_norm(grads, 1.0)
-    norm = np.sqrt(sum((g ** 2).sum() for g in grads))
-    assert norm == pytest.approx(1.0, rel=1e-9)
-    assert np.allclose(grads[0] / before[0], 1.0 / total)
-    # under the cap: unchanged
-    small = [np.full((2, 2), 1e-3)]
-    clip_global_norm(small, 1.0)
-    assert np.allclose(small[0], 1e-3)
 
 
 def test_make_rng_deterministic():

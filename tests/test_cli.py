@@ -411,16 +411,48 @@ def test_eval_on_a_zero_length_ground_truth_names_the_route(general_run, capsys)
     assert "route R0000" in err
 
 
+def cut_to_station(routes, count):
+    """Cut the first `count` routes of a route directory to their station;
+    returns the cut routes."""
+    loaded = dataio.load_routes(routes)
+    for k, route in enumerate(loaded[:count]):
+        loaded[k] = Route(id=route.id, stops=[route.stops[route.start_index]],
+                          travel=np.zeros((1, 1)), actual_order=[0])
+    dataio.save_routes(loaded, routes)
+    return loaded[:count]
+
+
+def test_eval_leaves_out_one_stop_routes(general_run, capsys):
+    tmp_path, routes, zones, _, tours = general_run
+    first, = cut_to_station(routes, 1)
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", tours, "--zones", zones, "--out", str(report)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("evaluated 5 routes (1 one-stop left out): ") and err == ""
+    payload = json.loads(report.read_text())
+    assert set(payload) == {"rows", "aggregates", "groups"}
+    assert len(payload["rows"]) == 5 and first.id not in {r["route_id"] for r in payload["rows"]}
+
+
+def test_eval_without_a_route_of_two_stops_exits_2_naming_the_routes(general_run, capsys):
+    tmp_path, routes, zones, _, tours = general_run
+    cut_to_station(routes, 6)
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", tours, "--zones", zones,
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert "no route of two or more stops" in assert_data_error_naming(routes, capsys)
+
+
 def test_one_stop_route_is_inferred_as_its_station_by_both_strategies(general_run):
     tmp_path, routes, zones, gdir, _ = general_run
     zdir = str(tmp_path / "z")
     assert cli.main(["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
                      "--config", str(tmp_path / "train.cfg"), "--out", zdir, "--jobs", "1"]) == 0
-    loaded = dataio.load_routes(routes)
-    first = loaded[0]
-    station = first.stops[first.start_index]
-    loaded[0] = Route(id=first.id, stops=[station], travel=np.zeros((1, 1)), actual_order=[0])
-    dataio.save_routes(loaded, routes)
+    first, = cut_to_station(routes, 1)
+    station = first.stops[0]
     for strategy, ckpt in (("general", gdir), ("zoned", zdir)):
         out = tmp_path / f"tours-{strategy}.json"
         assert cli.main(["infer", "--strategy", strategy, "--routes", routes,
@@ -553,6 +585,74 @@ def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers,
     assert capfd.readouterr().err == line
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == mask
+
+
+_train_zone_worker = pipeline._train_zone_worker
+
+
+def _dies_in_zone_1(task):
+    if task[0] == 1:
+        os._exit(9)
+    return _train_zone_worker(task)
+
+
+def _zoned_workspace(workspace):
+    tmp_path, routes, train_cfg = workspace
+    zones = str(tmp_path / "zones.json")
+    assert cli.main(["zones", "--routes", routes, "--resolution", "8", "--k", "2",
+                     "--out", zones]) == 0
+    return zones
+
+
+def test_a_dead_zone_worker_ends_training_with_one_line(workspace, monkeypatch, capfd):
+    tmp_path, routes, train_cfg = workspace
+    zones = _zoned_workspace(workspace)
+    monkeypatch.setattr(pipeline, "_train_zone_worker", _dies_in_zone_1)
+    capfd.readouterr()
+    assert cli.main(["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
+                     "--config", train_cfg, "--out", str(tmp_path / "z"), "--jobs", "2"]) == 2
+    assert capfd.readouterr().err == \
+        "data error: zone training: a worker process stopped unexpectedly\n"
+    assert multiprocessing.active_children() == []
+
+
+# config -> exit code and stderr: Adam steps of 1e300 overflow the encoder's
+# output; steps of 5 overflow `exp` and `expm1` in the sigmoid and ELU
+# kernels, which is harmless, as their results saturate
+NUMERIC_RUNS = {
+    "lr-1e300": (dict(epochs=3, lr="1e300", seed=5), 3,
+                 "numeric error: non-finite values in tensor encode\n"),
+    "lr-5-unclipped": (dict(epochs=4, lr=5, max_grad_norm=0, seed=5), 0, ""),
+}
+
+# the CLI in a fresh process, where numpy's warnings reach stderr as they do
+# from a shell; general training may fork although a BLAS runs threads, and
+# each Team prints how many workers it starts
+FRESH_CLI = ("import sys; from zoneroute import cli, parallel; "
+             "parallel.single_threaded = lambda: True; enter = parallel.Team.__enter__; "
+             "parallel.Team.__enter__ = lambda team: print('workers', team.size) or enter(team); "
+             "sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("strategy, jobs", [("general", "1"), ("general", "2"), ("zoned", "2")])
+@pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
+def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, jobs, run):
+    tmp_path, routes, _ = workspace
+    config, code, err = NUMERIC_RUNS[run]
+    cut_to_station(routes, 1)
+    argv = ["train", "--strategy", strategy, "--routes", routes,
+            "--config", write_config(tmp_path / "t.cfg", **config),
+            "--out", str(tmp_path / "o"), "--jobs", jobs]
+    if strategy == "zoned":
+        argv += ["--zones", _zoned_workspace(workspace)]
+    elif jobs == "2":
+        request.getfixturevalue("forked_workers")  # skips where workers cannot run
+    src = os.path.dirname(os.path.dirname(zoneroute.__file__))
+    done = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (code, err)
+    if strategy == "general":
+        assert f"workers {int(jobs) - 1}\n" in done.stdout
 
 
 def test_output_in_a_missing_directory_names_the_output(shared_run, capsys):

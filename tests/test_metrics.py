@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from zoneroute.dataio import read_json
 from zoneroute.errors import DomainError
 from zoneroute.metrics import (
     RouteRow,
@@ -11,7 +12,6 @@ from zoneroute.metrics import (
     cluster_bin,
     error_stats,
     group_reports,
-    load_report_json,
     mape,
     save_plot_data_csv,
     save_report_csv,
@@ -103,7 +103,7 @@ def test_build_report_schema_and_roundtrip(tmp_path):
     assert {"by_clusters_visited", "by_stop_count"} <= set(report["groups"])
     path = tmp_path / "report.json"
     save_report_json(report, path)
-    assert load_report_json(path) == report
+    assert read_json(path) == report
 
 
 def test_report_csv_columns(tmp_path):
