@@ -8,16 +8,15 @@ GRU update) and `pointer_logits` (the additive-attention pointer head,
 whose backward recomputes its tanh).  The math of these, of the nonlinear
 primitives and of the GATv2 pair scores lives in plain-array kernels
 (`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
-into bigger nodes of its own; `accumulate_rows` hands a tensor a stack of
-contributions in order, with the bits of one `accumulate` call each, and a
-`Recorder` takes chosen tensors' contributions instead, for `replay` to hand
-them over later, maybe in another process.  Every
-primitive is its forward value plus a function returning its inputs'
-gradients, made a node by `_node`, which hands them over in input order;
-`backward` walks the implicit tape in reverse topological order.  A
-finite-difference gradient checker and an Adam step with global
-gradient-norm clipping, over one flat buffer that holds every parameter,
-round the module out.
+into bigger nodes of its own; `accumulate_rows` makes one `accumulate`
+call per row of a stack of contributions, and a `Recorder` takes chosen
+tensors' contributions instead, for `replay` to hand them over later, maybe
+in another process.  Every primitive is its forward value plus a function
+returning its inputs' gradients, made a node by `_node`, which hands them
+over in input order; `backward` walks the implicit tape in reverse
+topological order.  A finite-difference gradient checker and an Adam step
+with global gradient-norm clipping, over one flat buffer that holds every
+parameter, round the module out.
 """
 
 from __future__ import annotations
@@ -122,10 +121,9 @@ class Recorder:
 def replay(tensors, calls):
     """Make the recorded `calls` on `tensors`, in order: each gradient gets
     the bits it would have got had they been made where they were recorded."""
-    buf = None
     for k, rows, right, left in calls:
         if rows:
-            buf = accumulate_rows(tensors[k], right, left, buf)
+            accumulate_rows(tensors[k], right, left)
         else:
             accumulate(tensors[k], right)
 
@@ -154,55 +152,28 @@ def block_rows(row_bytes: int) -> int:
     return max(1, _GATV2_BLOCK_BYTES // row_bytes)
 
 
-def sum_rows(acc, rows) -> np.ndarray:
-    """acc + rows[1] + ... + rows[k - 1], added one at a time from the left
-    into `acc`, k being len(rows); rows[0] is scratch.  Without `acc` the sum
-    starts from +0.0, as numpy's reduce does, so it has the bits of rows[1]
-    copied and the rest added, but for the sign of a zero.
-
-    np.add.reduce over axis 0 adds whole rows in order, each entry as one
-    `+=` would; only a reduce over single entries would run numpy's
-    pairwise sum, which regroups the terms, so those go one by one."""
-    if rows[0].size == 1:
-        acc = np.zeros_like(rows[0]) if acc is None else acc
-        for row in rows[1:]:
-            acc += row
-        return acc
-    if acc is None:
-        return np.add.reduce(rows[1:], axis=0)
-    rows[0] = acc
-    return np.add.reduce(rows, axis=0, out=acc)
-
-
-def accumulate_rows(t: Tensor, right, left=None, buf=None):
-    """`accumulate(t, c_i)` for i = 0, 1, ... in turn, to the bit (see
-    `sum_rows`), in a few numpy calls.  c_i is right[i] in t's shape, or with `left` the weight
-    gradient `weight_grad(left[i], right[i])` of one row each, an exact outer
-    product.  Blocks of rows go through `buf` (a flat float64 array), or
-    through a fresh buffer when it is None or too small; returns the buffer
-    used, for the next call."""
+def accumulate_rows(t: Tensor, right, left=None):
+    """`accumulate(t, c_i)` for i = 0, 1, ... in turn.  c_i is right[i] in
+    t's shape, or with `left` the weight gradient `weight_grad(left[i],
+    right[i])` of one row each, an exact outer product; those are formed a
+    block of rows at a time."""
     if t.recorder is not None:
         t.recorder.take(t, right, left, True)
-        return buf
+        return
     shape = t.data.shape
     steps = len(right)
-    right = right.reshape(steps, -1)
-    if left is not None:
-        left = left.reshape(steps, -1)
+    if left is None:
+        for row in right.reshape(steps, *shape):
+            accumulate(t, row)
+        return
+    left, right = left.reshape(steps, -1), right.reshape(steps, -1)
     rows = block_rows(8 * t.data.size)
-    need = (min(rows, steps) + 1) * t.data.size
-    if buf is None or buf.size < need:
-        buf = np.empty(need)
-    blk = buf[:need].reshape(-1, *shape)
-    flat = blk.reshape(len(blk), -1)
+    blk = np.empty((min(rows, steps), *shape))
     for i0 in range(0, steps, rows):
         k = min(rows, steps - i0)
-        if left is None:
-            flat[1:k + 1] = right[i0:i0 + k]
-        else:
-            np.einsum("ti,tj->tij", left[i0:i0 + k], right[i0:i0 + k], out=blk[1:k + 1])
-        t.grad = sum_rows(t.grad, blk[:k + 1])
-    return buf
+        np.einsum("ti,tj->tij", left[i0:i0 + k], right[i0:i0 + k], out=blk[:k])
+        for row in blk[:k]:
+            accumulate(t, row)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -10,7 +10,6 @@ import itertools
 
 import numpy as np
 
-from .autodiff import make_rng
 from .errors import DomainError
 from .routegraph import tour_length
 

@@ -328,7 +328,7 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     into E.  Only the GRU's recursion runs step by step; everything else
     works on the T steps stacked, (T, 1, d) rows whose products have the
     bits of each step's own, and `ad.accumulate_rows` hands each parameter
-    its T contributions with the bits of T `accumulate` calls.  The forward
+    its T contributions, one `accumulate` call each.  The forward
     likewise takes every node's GRU input products at once, and a sampled
     rollout draws its n - 1 uniforms from `rng` in one call.
     """
@@ -380,14 +380,13 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         H, gru_saved, H_next, Q, q_saved, SOFTMAX = zip(*steps)
         T, d = len(steps), Ed.shape[1]
         g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour, keys, v, Q, SOFTMAX)
-        buf = np.empty((ad.block_rows(8 * d * d) + 1) * d * d)
         g_H, factors = _branch_grad_rows(g_Q, _stack(H_next), q_w,
                                          tuple(_stack(c) for c in zip(*q_saved)))
         for p, (left, right) in zip(q_w, factors):
-            ad.accumulate_rows(p, right, left, buf)
+            ad.accumulate_rows(p, right, left)
         del factors  # the query branch's stacks go before the GRU's are built
         g_E_keys = _branch_grad(g_keys, Ed, k_w, k_saved)
-        g_h0, g_x = _gru_grad_steps(g_H, H, Ed[tour[:-1], None], gru_saved, gru_w, buf)
+        g_h0, g_x = _gru_grad_steps(g_H, H, Ed[tour[:-1], None], gru_saved, gru_w)
         g_pre = g_h0 * (1.0 - h0 * h0)
         ad.accumulate(W_init, E_mean.T @ g_pre)
         ad.accumulate(E, g_E_keys)
@@ -419,7 +418,7 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
     position = np.empty(n, dtype=np.int64)
     position[tour] = np.arange(n)
     rows = ad.block_rows(8 * n * d)
-    key_rows = np.empty((min(rows, T) + 1, n, d))
+    key_rows = np.empty((min(rows, T), n, d))
     g_keys, g_Q = None, np.empty((T, 1, d))
     for t0 in range(0, T, rows):
         k = min(rows, T - t0)
@@ -429,13 +428,17 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
         mask = position >= np.arange(t0 + 1, t0 + k + 1)[:, None]
         g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]), mask)
         _, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys, _stack(Q[blk]), v.data,
-                                           out=key_rows[1:k + 1])
-        g_keys = ad.sum_rows(g_keys, key_rows[:k + 1])
+                                           out=key_rows[:k])
+        for g_key in key_rows[:k]:
+            if g_keys is None:
+                g_keys = g_key.copy()
+            else:
+                g_keys += g_key
         ad.accumulate_rows(v, g_v)
     return g_keys, g_Q
 
 
-def _gru_grad_steps(g_H, H, X, saved, gru_w, buf):
+def _gru_grad_steps(g_H, H, X, saved, gru_w):
     """The GRU's backward through a rollout, g_H[t] being the gradient its
     output at step t gets from the pointer: the recursion runs from the last
     step back, and the nine weights take their per-step gradients in that
@@ -450,7 +453,7 @@ def _gru_grad_steps(g_H, H, X, saved, gru_w, buf):
     gates = tuple(_stack(gate) for gate in zip(*gates))
     back = [a[::-1] for a in (_stack(H), X, _stack([s[2] for s in saved])) + gates]
     for p, (left, right) in zip(gru_w, ad.gru_weight_factors(*back[:3], back[3:])):
-        ad.accumulate_rows(p, right, left, buf)
+        ad.accumulate_rows(p, right, left)
     return g_h, ad.gru_grad_x(gates, W_z, W_r, W_h)
 
 

@@ -321,13 +321,15 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
         zone_cfg = replace(cfg, seed=derive_seed(cfg.seed, zone))
         tasks.append((zone, zone_routes, random_starts, zone_cfg, zoning.spec))
 
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
     if workers > 1:
-        # imported here: the CLI stages that never train zones skip loading multiprocessing
+        # imported here, so stages that train no zones skip multiprocessing; forked,
+        # as `parallel.Team`'s workers are, to inherit numpy's error state
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        from multiprocessing import get_context
 
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as pool:
                 results = list(pool.map(_train_zone_worker, tasks))
         except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
             raise ChildProcessError("zone training: a worker process stopped "

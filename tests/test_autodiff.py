@@ -181,14 +181,26 @@ def test_accumulate_rows_has_the_bits_of_one_accumulate_per_row(
     a, b = shape
     if outer:
         left, right = _spread((steps, 1, a), 80), _spread((steps, 1, b), 81)
-        contributions = [x.T @ y for x, y in zip(left, right)]
     else:
         left, right = None, _spread((steps,) + shape, 81)
-        contributions = list(right)
+    _assert_rows_add_as_accumulates(shape, right, left, _spread(shape, 82) if prior else None)
+    if not prior:
+        # every contribution's first row is -0.0 (with `left`, its factor
+        # is): one accumulate per row keeps the sign of a zero sum, which a
+        # sum started from +0.0 loses
+        if outer:
+            left[:, 0, 0] = -0.0
+        else:
+            right[:, 0] = -0.0
+        _assert_rows_add_as_accumulates(shape, right, left, None)
+
+
+def _assert_rows_add_as_accumulates(shape, right, left, prior):
+    contributions = list(right) if left is None else [x.T @ y for x, y in zip(left, right)]
     fast, slow = (Tensor(np.zeros(shape), requires_grad=True) for _ in range(2))
-    if prior:
-        fast.grad = _spread(shape, 82)
-        slow.grad = fast.grad.copy()
+    if prior is not None:
+        fast.grad = prior
+        slow.grad = prior.copy()
     for c in contributions:
         ad.accumulate(slow, c)
     ad.accumulate_rows(fast, right, left)

@@ -634,9 +634,16 @@ FRESH_CLI = ("import sys; from zoneroute import cli, parallel; "
              "sys.exit(cli.main(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("strategy, jobs", [("general", "1"), ("general", "2"), ("zoned", "2")])
+@pytest.mark.parametrize("strategy, jobs, start_method", [
+    pytest.param("general", "1", None, id="general-1"),
+    pytest.param("general", "2", None, id="general-2"),
+    pytest.param("zoned", "2", None, id="zoned-2"),
+    # Linux's default from Python 3.14; zone workers must still be forked
+    pytest.param("zoned", "2", "forkserver", id="zoned-2-forkserver"),
+])
 @pytest.mark.parametrize("run", sorted(NUMERIC_RUNS))
-def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, jobs, run):
+def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, jobs,
+                                                 start_method, run):
     tmp_path, routes, _ = workspace
     config, code, err = NUMERIC_RUNS[run]
     cut_to_station(routes, 1)
@@ -648,7 +655,10 @@ def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, j
     elif jobs == "2":
         request.getfixturevalue("forked_workers")  # skips where workers cannot run
     src = os.path.dirname(os.path.dirname(zoneroute.__file__))
-    done = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], capture_output=True,
+    script = FRESH_CLI
+    if start_method is not None:
+        script = f"import multiprocessing as mp; mp.set_start_method({start_method!r}); {script}"
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stderr) == (code, err)
     if strategy == "general":
