@@ -92,10 +92,10 @@ def record(data, parents, backward, name=""):
 
 class Recorder:
     """A context manager that stands in for the `.grad` of a fixed list of
-    tensors: within it, `accumulate` and `accumulate_rows` on one of them
-    append (its index, whether rows, right, left) to `calls` instead of
-    adding anything, each array passed through `keep`, which must copy it
-    (it may be a view of another node's gradient).  `replay` makes the same
+    tensors: within it, `accumulate_rows` on one of them appends (its index,
+    right, left) to `calls` instead of adding anything, `accumulate` a stack
+    of its one row, each array passed through `keep`, which must copy it (it
+    may be a view of another node's gradient).  `replay` makes the same
     calls later, on the same tensors or on their twins in another process."""
 
     def __init__(self, tensors, keep=np.array):
@@ -113,26 +113,24 @@ class Recorder:
         for t in self.tensors:
             t.recorder = None
 
-    def take(self, t: Tensor, right, left, rows: bool) -> None:
-        self.calls.append((self.index[id(t)], rows, self.keep(right),
+    def take(self, t: Tensor, right, left) -> None:
+        self.calls.append((self.index[id(t)], self.keep(right),
                            None if left is None else self.keep(left)))
 
 
-def replay(tensors, calls):
-    """Make the recorded `calls` on `tensors`, in order: each gradient gets
-    the bits it would have got had they been made where they were recorded."""
-    for k, rows, right, left in calls:
-        if rows:
-            accumulate_rows(tensors[k], right, left)
-        else:
-            accumulate(tensors[k], right)
+def replay(tensors, calls, fetch=np.asarray):
+    """Make the recorded `calls` on `tensors`, in order, each kept array
+    passed through `fetch`: each gradient gets the bits it would have got
+    had they been made where they were recorded."""
+    for k, right, left in calls:
+        accumulate_rows(tensors[k], fetch(right), None if left is None else fetch(left))
 
 
 def accumulate(t: Tensor, g: np.ndarray):
     """Add `g` to `t.grad`.  Float addition is not associative, so the bits
     of a gradient depend on the order of these calls."""
     if t.recorder is not None:
-        t.recorder.take(t, g, None, False)
+        t.recorder.take(t, g[None], None)
         return
     # the first write copies: g may be a view of another node's gradient
     if t.grad is None:
@@ -158,7 +156,7 @@ def accumulate_rows(t: Tensor, right, left=None):
     right[i])` of one row each, an exact outer product; those are formed a
     block of rows at a time."""
     if t.recorder is not None:
-        t.recorder.take(t, right, left, True)
+        t.recorder.take(t, right, left)
         return
     shape = t.data.shape
     steps = len(right)

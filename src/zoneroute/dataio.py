@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .baselines import nearest_neighbor, two_opt
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, json_int
 from .hexgrid import GeoPoint, GridSpec, cell_of, format_cell_id, unproject, ProjectedPoint
 from .routegraph import Route, Stop
 
@@ -123,6 +123,8 @@ def _parse_route(route_id, entry, travel_data, sequences):
     for sid in stop_ids:
         raw = stops_raw[sid]
         with data_errors(f"stop {sid}"):
+            if not isinstance(raw.get("zone_id"), (str, type(None))):
+                raise TypeError(f"zone_id must be a string or null, got {raw['zone_id']!r}")
             stops.append(Stop(id=sid, geo=GeoPoint(float(raw["lat"]), float(raw["lng"])),
                               zone_label=raw.get("zone_id"),
                               is_start=raw.get("type") == "Station"))
@@ -136,7 +138,7 @@ def _parse_route(route_id, entry, travel_data, sequences):
         if sorted(order_map) != stop_ids:
             raise DataError("actual sequence stop set mismatch")
         # Route sees only the order, so a rank of -1 or a repeat is caught here
-        ranks = [int(order_map[sid]) for sid in stop_ids]
+        ranks = [json_int(order_map[sid], f"the rank of stop {sid}") for sid in stop_ids]
         if sorted(ranks) != list(range(len(ranks))):
             raise DataError("duplicate or gapped sequence order")
         actual_order = sorted(range(len(ranks)), key=ranks.__getitem__)

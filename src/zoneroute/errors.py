@@ -17,3 +17,10 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     pass
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer (an int, not a bool), else a TypeError naming `what`."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, json_int
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -81,7 +81,7 @@ class GridSpec:
         """Inverse of `to_dict`; a missing key or a value of the wrong type
         raises KeyError, TypeError or ValueError."""
         return cls(origin=GeoPoint(float(grid["origin_lat"]), float(grid["origin_lng"])),
-                   ref_resolution=int(grid["ref_resolution"]),
+                   ref_resolution=json_int(grid["ref_resolution"], "ref_resolution"),
                    ref_edge_m=float(grid["ref_edge_m"]))
 
     def edge_m(self, resolution: int) -> float:

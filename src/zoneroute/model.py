@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import read_json, write_json
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, json_int
 from .routegraph import N_FEATURES, ZONE_LABEL_BUCKETS, RouteGraph, tour_length
 
 ZONE_EMBED_DIM = 16
@@ -146,10 +146,10 @@ class ModelParams:
 
     @classmethod
     def _from_payload(cls, payload) -> "ModelParams":
-        if payload["format"] != CHECKPOINT_FORMAT:
+        if json_int(payload["format"], "format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported format {payload['format']!r}, "
                              f"expected {CHECKPOINT_FORMAT}")
-        cfg = ModelConfig(hidden_dim=int(payload["config"]["hidden_dim"]),
+        cfg = ModelConfig(hidden_dim=json_int(payload["config"]["hidden_dim"], "hidden_dim"),
                           dropout=float(payload["config"]["dropout"]))
         entries = payload["params"]
         layout = _param_layout(cfg)
@@ -157,7 +157,7 @@ class ModelParams:
             raise ValueError("unexpected parameter set or order")
         arrays = {}
         for entry, (name, shape) in zip(entries, layout):
-            if tuple(entry["shape"]) != shape:
+            if tuple(json_int(size, f"{name}'s shape") for size in entry["shape"]) != shape:
                 raise ValueError(f"{name} has shape {entry['shape']}, expected {list(shape)}")
             raw = base64.b64decode(entry["data"], validate=True)
             nbytes = 8 * math.prod(shape)

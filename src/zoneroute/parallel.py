@@ -72,7 +72,7 @@ class SharedBuffer:
 
     def __init__(self):
         self.fd = os.memfd_create("zoneroute")
-        self.used = 0  # doubles stored since the last `clear`
+        self.used = 0  # doubles stored; a worker resets it before each request
         self._view = np.empty(0)
 
     def _mapped(self, doubles: int) -> np.ndarray:
@@ -84,9 +84,6 @@ class SharedBuffer:
                 os.ftruncate(self.fd, size)
             self._view = np.frombuffer(mmap.mmap(self.fd, size), dtype=np.float64)
         return self._view
-
-    def clear(self) -> None:
-        self.used = 0
 
     def store(self, arr) -> tuple:
         """Copy `arr` in after what is stored; returns the handle `array` takes."""
@@ -114,10 +111,11 @@ class Team:
     affinity mask is restored.
 
     Worker k answers each request `send(k, request)` makes with
-    `serve(request, buffers[k])`, which `recv(k)` returns, or with the type
-    and message of the exception it raised, which `recv(k)` raises.  A worker
-    that stops without answering makes `recv` raise ChildProcessError.
-    `size` is the number of workers; with 0 nothing is started."""
+    `serve(request, buffers[k])`, which stores from the buffer's start and
+    whose result `recv(k)` returns, or with the type and message of the
+    exception it raised, which `recv(k)` raises.  A worker that stops
+    without answering makes `recv` raise ChildProcessError.  `size` is the
+    number of workers; with 0 nothing is started."""
 
     def __init__(self, processes: int, serve):
         self.cpus = usable_cpus()
@@ -205,6 +203,7 @@ def _serve(conn, cpu: int, serve, buffer: SharedBuffer, inherited) -> None:
             request = _receive(conn)
         except EOFError:
             return
+        buffer.used = 0  # each request stores from the buffer's start
         try:
             reply = ("ok", serve(request, buffer))
         except Exception as exc:  # handed to the parent, which raises it

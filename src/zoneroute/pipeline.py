@@ -20,7 +20,7 @@ from . import parallel
 from .autodiff import AdamState, make_rng
 from .baselines import nearest_neighbor
 from .dataio import read_json, write_csv, write_json
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, json_int
 from .hexgrid import GeoPoint, GridSpec
 from .model import (DecodeResult, ModelConfig, ModelParams, decode,
                     decode_tape, encode, reinforce_loss, training_draws)
@@ -169,7 +169,6 @@ class _Share:
         parameters, which are recorded into `buffer`, not added; the calls
         hold buffer handles for arrays."""
         op, *args = request
-        buffer.clear()
         with ad.Recorder(self.params.as_list(), buffer.store) as recorder:
             out = getattr(self, op)(*args)
         return out, recorder.calls
@@ -239,9 +238,7 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
         calls = [team.recv(k)[1] for k in range(len(calls))]
     plist = share.params.as_list()
     for buffer, recorded in zip(team.buffers, calls):
-        ad.replay(plist, [(p, rows, buffer.array(right),
-                           None if left is None else buffer.array(left))
-                          for p, rows, right, left in recorded])
+        ad.replay(plist, recorded, buffer.array)
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in plist]
     ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     for p in plist:
@@ -261,7 +258,6 @@ def _greedy(graph, route: Route, params: ModelParams) -> DecodeResult:
 @dataclass
 class SubInstance:
     route: Route
-    parent_indices: list[int]
     full: bool  # covers every stop of the parent route
 
 
@@ -283,9 +279,8 @@ def extract_zone_subroutes(routes: list[Route], zoning: Zoning) -> dict[int, lis
             if len(indices) < 2:
                 continue
             start = route.start_index if route.start_index in indices else indices[0]
-            out.setdefault(zone, []).append(
-                SubInstance(route=_sub_route(route, indices, zone, start),
-                            parent_indices=indices, full=len(indices) == route.n))
+            out.setdefault(zone, []).append(SubInstance(
+                route=_sub_route(route, indices, zone, start), full=len(indices) == route.n))
     return out
 
 
@@ -376,6 +371,8 @@ def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
         params = zms.models.get(zone)
         if params is None:
             sub_tour = nearest_neighbor(sub.travel, sub.start_index)
+        elif len(indices) == 1:  # a one-stop zone needs no model call
+            sub_tour = [0]
         else:
             res = _greedy(build_graph(sub, zoning.spec, points[indices]), sub, params)
             sub_tour = res.tour
@@ -428,8 +425,8 @@ def save_zoned(zms: ZoneModelSet, ckpt_dir) -> None:
 
 
 def _listed_zones(payload, k: int) -> list[int]:
-    zones = payload["zones"]
-    if not zones or any(type(z) is not int or not 0 <= z < k for z in zones):
+    zones = [json_int(z, "a zone id") for z in payload["zones"]]
+    if not zones or any(not 0 <= z < k for z in zones):
         raise ValueError(f"'zones' must be a non-empty list of zone ids in [0, {k})")
     return zones
 

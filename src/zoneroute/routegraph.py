@@ -8,7 +8,7 @@ per node, and travel times normalized into [0, 1] as directed edge weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class RouteGraph:
     features: np.ndarray        # n x 19
     zone_label_idx: np.ndarray  # n ints in [0, ZONE_LABEL_BUCKETS)
     edge_w: np.ndarray          # n x n in [0, 1]
-    start: int
-    points: np.ndarray = field(default=None, repr=False)  # n x 2 projected meters
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -141,8 +139,7 @@ def build_graph(route: Route, spec: GridSpec, points: np.ndarray | None = None) 
     t_max = route.travel.max()
     edge_w = route.travel / t_max if t_max > 0 else np.zeros_like(route.travel)
 
-    return RouteGraph(n=n, features=features, zone_label_idx=zone_idx,
-                      edge_w=edge_w, start=route.start_index, points=pts)
+    return RouteGraph(n=n, features=features, zone_label_idx=zone_idx, edge_w=edge_w)
 
 
 def tour_length(order, travel: np.ndarray, closed: bool = False) -> float:

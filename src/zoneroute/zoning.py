@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .dataio import read_json, write_json
-from .errors import DomainError
+from .errors import DomainError, json_int
 from .hexgrid import (GridSpec, HexCellId, ProjectedPoint, cell_of, centroid,
                       format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
@@ -143,8 +143,6 @@ def stops_by_zone(route: Route, z: Zoning,
 
 
 def clusters_visited(route: Route, z: Zoning) -> int:
-    if not route.stops:
-        raise DomainError("clusters_visited: empty route")
     return len(stops_by_zone(route, z))
 
 
@@ -166,7 +164,8 @@ def save_zoning(z: Zoning, path) -> None:
 
 def load_zoning(path) -> Zoning:
     return read_json(path, lambda payload: Zoning(
-        spec=GridSpec.from_dict(payload["grid"]), resolution=int(payload["resolution"]),
-        k=int(payload["k"]), seed=int(payload["seed"]),
-        centroids=np.array(payload["centroids"], dtype=np.float64),
-        cell_to_zone={parse_cell_id(cid): int(zone) for cid, zone in payload["cells"].items()}))
+        spec=GridSpec.from_dict(payload["grid"]), k=json_int(payload["k"], "k"),
+        resolution=json_int(payload["resolution"], "resolution"),
+        seed=json_int(payload["seed"], "seed"), centroids=payload["centroids"],
+        cell_to_zone={parse_cell_id(cid): json_int(zone, f"the zone of cell {cid}")
+                      for cid, zone in payload["cells"].items()}))

@@ -248,8 +248,11 @@ def test_recorded_contributions_replay_with_the_bits_of_the_calls():
         _contribute(recorded, 100)
     assert recorded[0].grad is None and recorded[1].grad is None
     assert recorded[2].grad is not None  # not recorded: added as usual
-    assert [(k, rows) for k, rows, _, _ in recorder.calls] == [
-        (0, False), (0, True), (1, True), (1, False)]
+    assert [k for k, _, _ in recorder.calls] == [0, 0, 1, 1]
+    # a plain accumulate is recorded as a stack of its one row
+    assert [right.shape for _, right, _ in recorder.calls] == [(1, 4, 4), (5, 1, 4),
+                                                              (6, 1, 4), (1, 1, 4)]
+    assert recorder.calls[0][2] is None and recorder.calls[3][2] is None
     ad.replay(twins, recorder.calls)
     for a, b in zip(direct[:2], twins[:2]):
         assert a.grad.tobytes() == b.grad.tobytes()

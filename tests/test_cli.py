@@ -265,8 +265,12 @@ def first_value_set_to(value):
     (["params", 2, "data"], None),
     (["params", 3, "data"], first_value_set_to(np.nan)),
     (["params", 3, "data"], first_value_set_to(np.inf)),
+    # integer fields hold JSON integers, not strings or floats of the same value
+    (["config", "hidden_dim"], str),
+    (["params", 1, "shape"], lambda old: [float(size) for size in old]),
+    (["format"], float),
 ], ids=["format-1", "bad-base64", "truncated-data", "wrong-shape", "no-shape", "no-data",
-        "nan-value", "inf-value"])
+        "nan-value", "inf-value", "hidden-dim-string", "float-shape", "format-float"])
 def test_malformed_checkpoint_exits_2(general_run, keys, edit, capsys):
     tmp_path, routes, _, gdir, _ = general_run
     ckpt = os.path.join(gdir, "general.ckpt.json")
@@ -353,6 +357,26 @@ CONTRACT_PROBES = {
     "travel-time-null": (
         "routes/travel_times.json",
         rewritten(lambda d: set_first(first_value(d["R0000"]), None)), "zones", "routes"),
+    # json writes these floats as the NaN and Infinity literals
+    "travel-time-NaN": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]), float("nan"))), "zones", "routes"),
+    "travel-time-Infinity": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]), float("inf"))), "zones", "routes"),
+    # a zone_id is a string or null; any stage that loads routes says so
+    "zone-id-3.0": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(zone_id=3.0)),
+        "infer-general", "routes"),
+    "zone-id-NaN": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(zone_id=float("nan"))),
+        "zones", "routes"),
+    "zone-id-true": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(zone_id=True)),
+        "eval", "routes"),
     "lat-north": (
         "routes/route_data.json",
         rewritten(lambda d: first_value(d["R0000"]["stops"]).update(lat="north")),
@@ -360,6 +384,10 @@ CONTRACT_PROBES = {
     "sequence-rank-x": (
         "routes/actual_sequences.json",
         rewritten(lambda d: set_first(d["R0000"]["actual"], "x")), "zones", "routes"),
+    # the first stop is the station, of rank 0, so int() would read this as 0
+    "sequence-rank-0.5": (
+        "routes/actual_sequences.json",
+        rewritten(lambda d: set_first(d["R0000"]["actual"], 0.5)), "zones", "routes"),
     "zones-truncated": ("zones.json", truncate, "eval", "zones.json"),
     "zoned-ckpt-zones-truncated": ("z/zones.json", truncate, "infer-zoned", "z/zones.json"),
     "zone-id-x": ("zones.json", rewritten(lambda d: set_first(d["cells"], "x")),
@@ -368,6 +396,13 @@ CONTRACT_PROBES = {
                    "eval", "zones.json"),
     "zone-id-99": ("zones.json", rewritten(lambda d: set_first(d["cells"], 99)),
                    "eval", "zones.json"),
+    # integers that int() would truncate: k to the zoning's own k, and the
+    # reference resolution to one that silently changes every cell's size
+    "zones-k-plus-0.5": ("zones.json", rewritten(lambda d: d.update(k=d["k"] + 0.5)),
+                         "eval", "zones.json"),
+    "zones-ref-resolution-2.5": (
+        "zones.json", rewritten(lambda d: d["grid"].update(ref_resolution=2.5)),
+        "eval", "zones.json"),
     # a resolution other than the cells' would send every stop to the
     # nearest-centroid fallback
     "zones-resolution-8": ("zones.json", rewritten(lambda d: d.update(resolution=8)),

@@ -194,9 +194,7 @@ def test_encoder_permutation_equivariance():
     perm = np.array([3, 0, 5, 1, 4, 2])
     gp = RouteGraph(n=g.n, features=g.features[perm],
                     zone_label_idx=g.zone_label_idx[perm],
-                    edge_w=g.edge_w[np.ix_(perm, perm)],
-                    start=int(np.where(perm == g.start)[0][0]),
-                    points=g.points[perm])
+                    edge_w=g.edge_w[np.ix_(perm, perm)])
     Ep = encode(gp, params, training=False)
     assert np.allclose(Ep.data, E.data[perm], atol=1e-9)
 
@@ -256,10 +254,10 @@ def _graph_of_size(n, seed):
     if n > 1:
         return tiny_graph(n=n, seed=seed)
     route, g = tiny_graph(n=2, seed=seed)
-    s = g.start
+    s = route.start_index
     return (SimpleNamespace(n=1, start_index=0),
             RouteGraph(n=1, features=g.features[[s]], zone_label_idx=g.zone_label_idx[[s]],
-                       edge_w=np.zeros((1, 1)), start=0, points=g.points[[s]]))
+                       edge_w=np.zeros((1, 1))))
 
 
 def _batch_tape(encode_fn, decode_fn, graphs, params, mode):
@@ -360,8 +358,7 @@ def test_greedy_ties_break_to_lowest_index():
     params = ModelParams.init(CFG8, seed=16)
     gg = RouteGraph(n=4, features=np.tile(g.features[:1], (4, 1)),
                     zone_label_idx=np.zeros(4, dtype=np.int64),
-                    edge_w=np.zeros((4, 4)), start=0,
-                    points=np.tile(g.points[:1], (4, 1)))
+                    edge_w=np.zeros((4, 4)))
     E = encode(gg, params, training=False)
     tour, _ = decode_tape(E, 0, params, greedy=True)
     assert tour == [0, 1, 2, 3]

@@ -85,12 +85,13 @@ def test_extract_zone_subroutes_hand_split(spec):
     route, zoning = three_cluster_route(spec)
     subs = extract_zone_subroutes([route], zoning)
     assert sorted(subs) == [0, 1, 2]
-    assert subs[0][0].parent_indices == [0, 1, 2]
-    assert subs[1][0].parent_indices == [3, 4]
-    assert subs[2][0].parent_indices == [5, 6]
+    # each sub-route's parent indices, recovered from its stop ids
+    index_of = {s.id: i for i, s in enumerate(route.stops)}
+    parent_indices = [[index_of[s.id] for s in subs[z][0].route.stops] for z in range(3)]
+    assert parent_indices == [[0, 1, 2], [3, 4], [5, 6]]
     for zone, inst in ((0, subs[0][0]), (1, subs[1][0]), (2, subs[2][0])):
         sub = inst.route
-        idx = inst.parent_indices
+        idx = parent_indices[zone]
         assert not inst.full
         assert sub.id == f"R3C#z{zone}"
         assert np.array_equal(sub.travel, route.travel[np.ix_(idx, idx)])
@@ -229,6 +230,37 @@ def test_general_training_runs_in_one_process_where_workers_cannot(monkeypatch):
     assert started == [0]
     with pytest.raises(DomainError, match="jobs"):
         train_general(routes, TrainConfig(epochs=1, seed=2), default_grid_spec(routes), jobs=0)
+
+
+@pytest.mark.skipif(not all(hasattr(os, name) for name in ("fork", "memfd_create")),
+                    reason="needs fork and memfd")
+def test_a_shared_buffer_grown_past_its_first_mib_by_a_forked_process_reads_back():
+    # as a worker's recording does: the buffer exists before the fork, the
+    # child's stores grow its memfd, and this process maps the grown file
+    buffer = parallel.SharedBuffer()
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal(shape) for shape in ((300, 200), (1, 5), (400, 250))]
+    assert sum(a.nbytes for a in arrays) > 1 << 20
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child stores every array and reports the handles
+        code = 1
+        try:
+            os.write(write, json.dumps([buffer.store(a) for a in arrays]).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        handles = json.load(fh)
+    assert os.waitpid(pid, 0)[1] == 0
+    try:
+        assert os.fstat(buffer.fd).st_size > 1 << 20
+        for arr, handle in zip(arrays, handles):
+            back = buffer.array(handle)
+            assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+    finally:
+        buffer.close()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
@@ -403,7 +435,7 @@ def test_infer_zoned_stitches_zones_in_nearest_order(spec):
     assert res.log_prob == 0.0
 
 
-def test_infer_zoned_singleton_zone_and_entry_stop(spec):
+def test_infer_zoned_singleton_zone_and_entry_stop(spec, monkeypatch):
     # start sits alone in its zone; the other zone is entered at its nearest stop
     coords = [(33.98, -118.25), (33.98, -118.20), (33.98, -118.199),
               (33.98, -118.198)]
@@ -413,6 +445,16 @@ def test_infer_zoned_singleton_zone_and_entry_stop(spec):
     res = infer_zoned(route, ZoneModelSet(zoning=zoning))
     assert res.tour == [0, 1, 2, 3]
     assert res.tour[0] == route.start_index
+    # with a model for each zone, only the three-stop zone is encoded: the
+    # one-stop zone costs no model call
+    params = model.ModelParams.init(model.ModelConfig(hidden_dim=8), seed=3)
+    encoded = []
+    encode = pipeline.encode
+    monkeypatch.setattr(pipeline, "encode",
+                        lambda g, *args, **kw: encoded.append(g.n) or encode(g, *args, **kw))
+    res = infer_zoned(route, ZoneModelSet(zoning=zoning, models={0: params, 1: params}))
+    assert encoded == [3]
+    assert res.tour[0] == route.start_index and sorted(res.tour) == [0, 1, 2, 3]
 
 
 def test_infer_zoned_nn_fallback_matches_oracle(spec):
