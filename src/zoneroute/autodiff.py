@@ -237,8 +237,8 @@ def log_softmax_fwd(x, mask):
     return np.where(mask, x - row_max - np.log(denom), NEG_INF), z / denom
 
 
-def log_softmax_grad(g, softmax, mask):
-    g = np.where(mask, g, 0.0)
+def log_softmax_grad(g, softmax):
+    """The gradient of x; g must be 0.0 wherever the mask was False."""
     return g - softmax * g.sum(axis=1, keepdims=True)
 
 
@@ -250,17 +250,12 @@ def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
     return y * gain + bias, y, inv_std
 
 
-def layer_norm_grad_rows(g, gain, y, inv_std):
+def layer_norm_grad(g, gain, y, inv_std):
     """Returns the gradient of x and each row's share of the gradients of
-    gain and bias; rows may carry leading axes, such as one per step."""
+    gain and bias, which `weight_grad(None, share)` sums; rows may carry
+    leading axes, such as one per step."""
     gy = g * gain
     return inv_std * (gy - mean(gy, -1) - y * mean(gy * y, -1)), g * y, g
-
-
-def layer_norm_grad(g, gain, y, inv_std):
-    """Returns the gradients of (x, gain, bias)."""
-    g_x, g_gain, g_bias = layer_norm_grad_rows(g, gain, y, inv_std)
-    return g_x, weight_grad(None, g_gain), weight_grad(None, g_bias)
 
 
 _GATV2_SLOPE = 0.2
@@ -309,14 +304,10 @@ def gatv2_grad(g, Hd, Hs, W_edge, attn, edge_t):
             edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d), g_attn)
 
 
-def gru_fwd(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
-    """One GRU update on arrays.  Returns (out, (z, r, rh, c)), the second
-    being what `gru_grad` needs."""
-    return gru_fwd_from(h, x @ W_z, x @ W_r, x @ W_h, U_z, b_z, U_r, b_r, U_h, b_h)
-
-
-def gru_fwd_from(h, xz, xr, xh, U_z, b_z, U_r, b_r, U_h, b_h):
-    """`gru_fwd` given the input's products x W_z, x W_r and x W_h."""
+def gru_fwd(h, xz, xr, xh, U_z, b_z, U_r, b_r, U_h, b_h):
+    """One GRU update on arrays, given the input's products x W_z, x W_r and
+    x W_h.  Returns (out, (z, r, rh, c)), the second being what the
+    `gru_grad_*` kernels need."""
     z = 1.0 / (1.0 + np.exp(-(xz + h @ U_z + b_z)))
     r = 1.0 / (1.0 + np.exp(-(xr + h @ U_r + b_r)))
     rh = r * h
@@ -325,8 +316,8 @@ def gru_fwd_from(h, xz, xr, xh, U_z, b_z, U_r, b_r, U_h, b_h):
 
 
 def gru_grad_state(g, h, saved, U_z, U_r, U_h):
-    """The recurrent part of `gru_grad`: returns the gradient of h and those
-    of the three gate pre-activations (z, r, candidate)."""
+    """Returns the gradient of h and those of the three gate pre-activations
+    (z, r, candidate)."""
     z, r, rh, c = saved
     g_c = g * z * (1.0 - c * c)
     g_z = g * (c - h) * z * (1.0 - z)
@@ -344,19 +335,11 @@ def gru_grad_x(gates, W_z, W_r, W_h):
 
 
 def gru_weight_factors(h, x, rh, gates):
-    """(left, right) for each of the nine weights, in the argument order of
-    `gru_fwd`: its gradient is `weight_grad(left, right)`."""
+    """(left, right) for each of the nine weights, in the order (W_z, U_z,
+    b_z, W_r, U_r, b_r, W_h, U_h, b_h): its gradient is
+    `weight_grad(left, right)`."""
     return tuple(pair for gate, inp in zip(gates, (h, h, rh))
                  for pair in ((x, gate), (inp, gate), (None, gate)))
-
-
-def gru_grad(g, h, x, saved, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h):
-    """Returns the gradients of (h, x) and a tuple of those of the nine
-    weights, in the argument order of `gru_fwd`."""
-    g_h, gates = gru_grad_state(g, h, saved, U_z, U_r, U_h)
-    g_w = tuple(weight_grad(left, right)
-                for left, right in gru_weight_factors(h, x, saved[2], gates))
-    return g_h, gru_grad_x(gates, W_z, W_r, W_h), g_w
 
 
 def pointer_fwd(keys, q, v):
@@ -364,17 +347,17 @@ def pointer_fwd(keys, q, v):
     return (np.tanh(keys + q) @ v).T
 
 
-def pointer_grad(g, keys, q, v, out=None):
-    """Returns the gradients of (keys, q, v), recomputing the (n, d) tanh;
-    the keys' goes to `out` when given.  Given a leading axis of steps, a
-    (T, 1, n) g and a (T, 1, d) q, it returns each step's gradients, with
-    the bits of T separate calls."""
+def pointer_grad(g, keys, q, v):
+    """Returns the gradients of (keys, q, v), recomputing the (n, d) tanh.
+    Given a leading axis of steps, a (T, 1, n) g and a (T, 1, d) q, it
+    returns each step's gradients, with the bits of T separate calls."""
     t = np.add(keys, q)
     np.tanh(t, out=t)
     dtanh = t * t
     np.subtract(1.0, dtanh, out=dtanh)
     g_col = g.swapaxes(-1, -2)
-    gu = np.multiply(g_col @ v.T, dtanh, out=out)
+    gu = g_col @ v.T
+    gu *= dtanh
     return gu, gu.sum(axis=-2, keepdims=True), t.swapaxes(-1, -2) @ g_col
 
 
@@ -474,14 +457,11 @@ def tsum(a) -> Tensor:
     return _node(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
-def tmean(a, axis=None) -> Tensor:
-    """Mean of all entries (axis=None -> 1x1) or over rows (axis=0 -> 1xk)."""
+def tmean(a, axis=0) -> Tensor:
+    """Mean over rows (axis=0 -> 1xk)."""
     a = _as_tensor(a)
-    if axis is None:
-        inv = 1.0 / a.data.size
-        return _node(a.data.mean(), (a,), lambda g: (np.full_like(a.data, g[0, 0] * inv),))
     if axis != 0:
-        raise DomainError("tmean supports axis=None or axis=0")
+        raise DomainError("tmean supports axis=0 only")
     inv = 1.0 / a.shape[0]
     return _node(mean(a.data, 0), (a,), lambda g: (np.repeat(g, a.shape[0], axis=0) * inv,))
 
@@ -541,7 +521,8 @@ def masked_log_softmax(a, mask) -> Tensor:
     if not np.all(mask.any(axis=1)):
         raise DomainError("masked_log_softmax: a row has no unmasked entries")
     logp, softmax = log_softmax_fwd(a.data, mask)
-    return _node(logp, (a,), lambda g: (log_softmax_grad(g, softmax, mask),))
+    # the upstream gradient may be nonzero where the mask is False
+    return _node(logp, (a,), lambda g: (log_softmax_grad(np.where(mask, g, 0.0), softmax),))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -551,7 +532,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (1, k) or bias.shape != (1, k):
         raise DomainError(f"layer_norm gain/bias must be (1, {k})")
     out, y, inv_std = layer_norm_fwd(a.data, gain.data, bias.data, eps)
-    return _node(out, (a, gain, bias), lambda g: layer_norm_grad(g, gain.data, y, inv_std))
+
+    def grads(g):
+        g_x, g_gain, g_bias = layer_norm_grad(g, gain.data, y, inv_std)
+        return g_x, weight_grad(None, g_gain), weight_grad(None, g_bias)
+
+    return _node(out, (a, gain, bias), grads)
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -572,12 +558,13 @@ def gru_cell(h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h) -> Tensor:
     """One GRU update: z = sigmoid(x W_z + h U_z + b_z), r likewise,
     c = tanh(x W_h + (r * h) U_h + b_h), out = (1 - z) * h + z * c."""
     inputs = tuple(_as_tensor(t) for t in (h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h))
-    data = [t.data for t in inputs]
-    out, saved = gru_fwd(*data)
+    h, x, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (t.data for t in inputs)
+    out, saved = gru_fwd(h, x @ W_z, x @ W_r, x @ W_h, U_z, b_z, U_r, b_r, U_h, b_h)
 
     def grads(g):
-        g_h, g_x, g_w = gru_grad(g, data[0], data[1], saved, *data[2:])
-        return (g_h, g_x) + g_w
+        g_h, gates = gru_grad_state(g, h, saved, U_z, U_r, U_h)
+        return (g_h, gru_grad_x(gates, W_z, W_r, W_h)) + tuple(
+            weight_grad(left, right) for left, right in gru_weight_factors(h, x, saved[2], gates))
 
     return _node(out, inputs, grads)
 

@@ -81,12 +81,6 @@ def _tour_indices(tours: dict, path, route) -> list[int]:
     return indices
 
 
-def _grid_spec_for(routes, zones_path):
-    if zones_path:
-        return load_zoning(zones_path).spec
-    return pipeline.default_grid_spec(routes)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,16 +103,18 @@ def cmd_zones(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.strategy == "general" and args.zones:
+        raise UsageError("--zones is for train --strategy zoned only")
+    if args.strategy == "zoned" and not args.zones:
+        raise UsageError("train --strategy zoned requires --zones")
     routes = dataio.load_routes(args.routes)
     cfg = _parse_config_file(args.config, TrainConfig)
     if args.strategy == "general":
-        spec = _grid_spec_for(routes, args.zones)
+        spec = pipeline.default_grid_spec(routes)
         params, log_rows = pipeline.train_general(routes, cfg, spec, jobs=args.jobs)
         pipeline.save_general(params, log_rows, args.out, spec)
         print(f"general model trained for {cfg.epochs} epochs -> {args.out}")
     else:
-        if not args.zones:
-            raise UsageError("train --strategy zoned requires --zones")
         zoning = load_zoning(args.zones)
         zms = pipeline.train_zone_models(routes, zoning, cfg, jobs=args.jobs)
         pipeline.save_zoned(zms, args.out)

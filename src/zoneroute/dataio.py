@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .baselines import nearest_neighbor, two_opt
-from .errors import DataError, DomainError, json_int
+from .errors import DataError, DomainError, json_float, json_int
 from .hexgrid import GeoPoint, GridSpec, cell_of, format_cell_id, unproject, ProjectedPoint
 from .routegraph import Route, Stop
 
@@ -125,12 +125,13 @@ def _parse_route(route_id, entry, travel_data, sequences):
         with data_errors(f"stop {sid}"):
             if not isinstance(raw.get("zone_id"), (str, type(None))):
                 raise TypeError(f"zone_id must be a string or null, got {raw['zone_id']!r}")
-            stops.append(Stop(id=sid, geo=GeoPoint(float(raw["lat"]), float(raw["lng"])),
+            stops.append(Stop(id=sid, geo=GeoPoint(json_float(raw["lat"], "lat"),
+                                                   json_float(raw["lng"], "lng")),
                               zone_label=raw.get("zone_id"),
                               is_start=raw.get("type") == "Station"))
     matrix_raw = travel_data[route_id]
-    travel = np.array([[0.0 if a == b else float(matrix_raw[a][b]) for b in stop_ids]
-                       for a in stop_ids])
+    travel = np.array([[0.0 if a == b else json_float(matrix_raw[a][b], "a travel time")
+                        for b in stop_ids] for a in stop_ids])
 
     actual_order = None
     if sequences is not None and route_id in sequences:

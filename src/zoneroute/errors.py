@@ -24,3 +24,11 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_float(value, what: str) -> float:
+    """`value` as a float if it is a JSON number (an int or a float, not a
+    bool or a string), else a TypeError naming `what`."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, json_int
+from .errors import DomainError, json_float, json_int
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -80,9 +80,10 @@ class GridSpec:
     def from_dict(cls, grid) -> "GridSpec":
         """Inverse of `to_dict`; a missing key or a value of the wrong type
         raises KeyError, TypeError or ValueError."""
-        return cls(origin=GeoPoint(float(grid["origin_lat"]), float(grid["origin_lng"])),
+        return cls(origin=GeoPoint(json_float(grid["origin_lat"], "origin_lat"),
+                                   json_float(grid["origin_lng"], "origin_lng")),
                    ref_resolution=json_int(grid["ref_resolution"], "ref_resolution"),
-                   ref_edge_m=float(grid["ref_edge_m"]))
+                   ref_edge_m=json_float(grid["ref_edge_m"], "ref_edge_m"))
 
     def edge_m(self, resolution: int) -> float:
         if not 0 <= resolution <= MAX_RESOLUTION:

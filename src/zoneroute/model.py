@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import read_json, write_json
-from .errors import DomainError, NumericError, json_int
+from .errors import DomainError, NumericError, json_float, json_int
 from .routegraph import N_FEATURES, ZONE_LABEL_BUCKETS, RouteGraph, tour_length
 
 ZONE_EMBED_DIM = 16
@@ -150,7 +150,7 @@ class ModelParams:
             raise ValueError(f"unsupported format {payload['format']!r}, "
                              f"expected {CHECKPOINT_FORMAT}")
         cfg = ModelConfig(hidden_dim=json_int(payload["config"]["hidden_dim"], "hidden_dim"),
-                          dropout=float(payload["config"]["dropout"]))
+                          dropout=json_float(payload["config"]["dropout"], "dropout"))
         entries = payload["params"]
         layout = _param_layout(cfg)
         if [e["name"] for e in entries] != [n for n, _ in layout]:
@@ -192,14 +192,14 @@ def encode(g: RouteGraph, params: ModelParams, training: bool = False,
     idx = np.asarray(g.zone_label_idx, dtype=np.int64)
     n_feat = g.features.shape[1]
     edge_t = g.edge_w.T
-    every_pair = np.ones((n, n), dtype=bool)
     layers = [[params[f"gat{layer}.{name}"] for name in _GAT_PARAMS] for layer in (1, 2, 3)]
     H = np.hstack([np.asarray(g.features, dtype=np.float64), embed.data[idx]])
     saved = []
     for layer, (W_src, W_dst, W_edge, attn, gain, bias) in enumerate(layers, 1):
         Hs, Hd = H @ W_src.data, H @ W_dst.data
+        # the digraph is complete, so no pair is masked
         logp, softmax = ad.log_softmax_fwd(
-            ad.gatv2_fwd(Hd, Hs, W_edge.data, attn.data, edge_t), every_pair)
+            ad.gatv2_fwd(Hd, Hs, W_edge.data, attn.data, edge_t), True)
         alpha = np.exp(logp)
         out, y, inv_std = ad.layer_norm_fwd(alpha @ Hs, gain.data, bias.data)
         act = keep = None
@@ -223,13 +223,14 @@ def encode(g: RouteGraph, params: ModelParams, training: bool = False,
                     g_H = g_H * keep
                 g_H = ad.elu_grad(g_H, out, act)
             g_A, g_gain, g_bias = ad.layer_norm_grad(g_H, gain.data, y, inv_std)
-            g_scores = ad.log_softmax_grad((g_A @ Hs.T) * alpha, softmax, every_pair)
+            g_scores = ad.log_softmax_grad((g_A @ Hs.T) * alpha, softmax)
             g_Hd, g_Hs, g_edge, g_attn = ad.gatv2_grad(
                 g_scores, Hd, Hs, W_edge.data, attn.data, edge_t)
             g_Hs += alpha.T @ g_A
             g_H = g_Hs @ W_src.data.T + g_Hd @ W_dst.data.T
             for p, gp in ((W_src, H.T @ g_Hs), (W_dst, H.T @ g_Hd), (W_edge, g_edge),
-                          (attn, g_attn), (gain, g_gain), (bias, g_bias)):
+                          (attn, g_attn), (gain, ad.weight_grad(None, g_gain)),
+                          (bias, ad.weight_grad(None, g_bias))):
                 ad.accumulate(p, gp)
         g_embed = np.zeros_like(embed.data)
         np.add.at(g_embed, idx, g_H[:, n_feat:])
@@ -269,23 +270,15 @@ def _branch_fwd(x: np.ndarray, weights):
     return out, (pre, hidden, y, inv_std)
 
 
-def _branch_grad_rows(g, x: np.ndarray, weights, saved):
+def _branch_grad(g, x: np.ndarray, weights, saved):
     """The gradient of x, and (left, right) for each of the branch's four
     weights: its gradient is `ad.weight_grad(left, right)`.  Given a leading
     axis of (1, d) steps, each step's rows have the bits of its own call."""
     FC1, FC2, gain, bias = weights
     pre, hidden, y, inv_std = saved
-    g_normed, g_gain, g_bias = ad.layer_norm_grad_rows(g, gain.data, y, inv_std)
+    g_normed, g_gain, g_bias = ad.layer_norm_grad(g, gain.data, y, inv_std)
     g_pre = ad.relu_grad(g_normed @ FC2.data.T, pre)
     return g_pre @ FC1.data.T, ((x, g_pre), (hidden, g_normed), (None, g_gain), (None, g_bias))
-
-
-def _branch_grad(g, x: np.ndarray, weights, saved):
-    """Hands the branch's four weights their gradients; returns x's."""
-    g_x, factors = _branch_grad_rows(g, x, weights, saved)
-    for p, (left, right) in zip(weights, factors):
-        ad.accumulate(p, ad.weight_grad(left, right))
-    return g_x
 
 
 def pointer_keys(E: Tensor, params: ModelParams) -> Tensor:
@@ -353,8 +346,8 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     h, total, steps = h0, None, []
     for step in range(1, n):
         last = tour[-1]
-        h_next, gru_saved = ad.gru_fwd_from(h, x_z[last], x_r[last], x_h[last],
-                                            U_z, b_z, U_r, b_r, U_h, b_h)
+        h_next, gru_saved = ad.gru_fwd(h, x_z[last], x_r[last], x_h[last],
+                                       U_z, b_z, U_r, b_r, U_h, b_h)
         q, q_saved = _branch_fwd(h_next, q_w)
         logp, softmax = ad.log_softmax_fwd(ad.pointer_fwd(keys, q, v.data), mask)
         if not np.isfinite(logp).all():
@@ -380,12 +373,14 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         H, gru_saved, H_next, Q, q_saved, SOFTMAX = zip(*steps)
         T, d = len(steps), Ed.shape[1]
         g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour, keys, v, Q, SOFTMAX)
-        g_H, factors = _branch_grad_rows(g_Q, _stack(H_next), q_w,
-                                         tuple(_stack(c) for c in zip(*q_saved)))
+        g_H, factors = _branch_grad(g_Q, _stack(H_next), q_w,
+                                    tuple(_stack(c) for c in zip(*q_saved)))
         for p, (left, right) in zip(q_w, factors):
             ad.accumulate_rows(p, right, left)
-        del factors  # the query branch's stacks go before the GRU's are built
-        g_E_keys = _branch_grad(g_keys, Ed, k_w, k_saved)
+        g_E_keys, factors = _branch_grad(g_keys, Ed, k_w, k_saved)
+        for p, (left, right) in zip(k_w, factors):
+            ad.accumulate(p, ad.weight_grad(left, right))
+        del factors  # the branches' stacks go before the GRU's are built
         g_h0, g_x = _gru_grad_steps(g_H, H, Ed[tour[:-1], None], gru_saved, gru_w)
         g_pre = g_h0 * (1.0 - h0 * h0)
         ad.accumulate(W_init, E_mean.T @ g_pre)
@@ -410,26 +405,23 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
     """The backward of every step's pointer head and log-softmax, for the
     output gradient g of each picked log-probability: hands ptr.v its
     per-step gradients in step order and returns the keys' gradient, summed
-    in step order, and the (T, 1, d) query gradients.  Step t's mask (the
-    nodes not yet visited) is rebuilt from the tour.  Steps go in blocks
-    whose (k, n, d) arrays hold about `ad._GATV2_BLOCK_BYTES` each."""
+    in step order, and the (T, 1, d) query gradients.  Each step's
+    log-probability gradient is 0.0 but at its pick, which its mask never
+    hides, so no mask is needed.  Steps go in blocks whose (k, n, d) arrays
+    hold about `ad._GATV2_BLOCK_BYTES` each."""
     picks = tour[1:]
     T, (n, d) = len(picks), keys.shape
-    position = np.empty(n, dtype=np.int64)
-    position[tour] = np.arange(n)
     rows = ad.block_rows(8 * n * d)
-    key_rows = np.empty((min(rows, T), n, d))
     g_keys, g_Q = None, np.empty((T, 1, d))
     for t0 in range(0, T, rows):
         k = min(rows, T - t0)
         blk = slice(t0, t0 + k)
         g_lp = np.zeros((k, n))
         g_lp[np.arange(k), picks[blk]] = g
-        mask = position >= np.arange(t0 + 1, t0 + k + 1)[:, None]
-        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]), mask)
-        _, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys, _stack(Q[blk]), v.data,
-                                           out=key_rows[:k])
-        for g_key in key_rows[:k]:
+        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]))
+        g_key_rows, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys,
+                                                    _stack(Q[blk]), v.data)
+        for g_key in g_key_rows:
             if g_keys is None:
                 g_keys = g_key.copy()
             else:

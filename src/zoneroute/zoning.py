@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .dataio import read_json, write_json
-from .errors import DomainError, json_int
+from .errors import DomainError, json_float, json_int
 from .hexgrid import (GridSpec, HexCellId, ProjectedPoint, cell_of, centroid,
                       format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
@@ -166,6 +166,8 @@ def load_zoning(path) -> Zoning:
     return read_json(path, lambda payload: Zoning(
         spec=GridSpec.from_dict(payload["grid"]), k=json_int(payload["k"], "k"),
         resolution=json_int(payload["resolution"], "resolution"),
-        seed=json_int(payload["seed"], "seed"), centroids=payload["centroids"],
+        seed=json_int(payload["seed"], "seed"),
+        centroids=[[json_float(x, "a centroid coordinate") for x in centroid]
+                   for centroid in payload["centroids"]],
         cell_to_zone={parse_cell_id(cid): json_int(zone, f"the zone of cell {cid}")
                       for cid, zone in payload["cells"].items()}))

@@ -1,8 +1,10 @@
 import base64
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
+import operator
 import os
 import subprocess
 import sys
@@ -310,6 +312,9 @@ def stage_argv(stage, run):
     out = str(tmp_path / "out.json")
     return {
         "zones": ["zones", "--routes", routes, "--k", "1", "--out", out],
+        "train-zoned": ["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
+                        "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "zz"),
+                        "--jobs", "1"],
         "infer-general": ["infer", "--strategy", "general", "--routes", routes,
                           "--ckpt", gdir, "--out", out],
         "infer-zoned": ["infer", "--strategy", "zoned", "--routes", routes,
@@ -381,6 +386,44 @@ CONTRACT_PROBES = {
         "routes/route_data.json",
         rewritten(lambda d: first_value(d["R0000"]["stops"]).update(lat="north")),
         "zones", "routes"),
+    # a number read from a file is a JSON number: float() would take a
+    # boolean as 0.0 or 1.0 and a string of digits as its value
+    "lat-true": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(lat=True)), "zones", "routes"),
+    "lat-string": (
+        "routes/route_data.json",
+        rewritten(lambda d: first_value(d["R0000"]["stops"]).update(
+            lat=str(first_value(d["R0000"]["stops"])["lat"]))), "zones", "routes"),
+    "travel-time-true": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]), True)), "zones", "routes"),
+    "travel-time-string": (
+        "routes/travel_times.json",
+        rewritten(lambda d: set_first(first_value(d["R0000"]),
+                                      str(first_value(first_value(d["R0000"]))))),
+        "zones", "routes"),
+    "grid-origin-lat-string": (
+        "g/grid.json", rewritten(lambda d: d.update(origin_lat=str(d["origin_lat"]))),
+        "infer-general", "g/grid.json"),
+    "grid-ref-edge-true": ("g/grid.json", rewritten(lambda d: d.update(ref_edge_m=True)),
+                           "infer-general", "g/grid.json"),
+    "zones-centroid-string": (
+        "zones.json", rewritten(lambda d: d["centroids"][0].__setitem__(
+            0, str(d["centroids"][0][0]))), "train-zoned", "zones.json"),
+    "zones-centroid-true": (
+        "zones.json", rewritten(lambda d: d["centroids"][0].__setitem__(1, True)),
+        "train-zoned", "zones.json"),
+    "zones-origin-lng-false": (
+        "zones.json", rewritten(lambda d: d["grid"].update(origin_lng=False)),
+        "train-zoned", "zones.json"),
+    "ckpt-dropout-string": (
+        "g/general.ckpt.json",
+        rewritten(lambda d: d["config"].update(dropout=str(d["config"]["dropout"]))),
+        "infer-general", "g/general.ckpt.json"),
+    "ckpt-dropout-false": (
+        "g/general.ckpt.json", rewritten(lambda d: d["config"].update(dropout=False)),
+        "infer-general", "g/general.ckpt.json"),
     "sequence-rank-x": (
         "routes/actual_sequences.json",
         rewritten(lambda d: set_first(d["R0000"]["actual"], "x")), "zones", "routes"),
@@ -711,19 +754,15 @@ def test_output_in_a_missing_directory_names_the_output(shared_run, capsys):
     assert str(out) in err and ".tmp" not in err
 
 
-def test_general_training_with_zones_writes_their_grid(general_run):
-    tmp_path, routes, zones, gdir, _ = general_run
-    # move the zoning's origin off the routes' mean, where the default grid sits
-    rewrite_json(zones, lambda d: d["grid"].update(ref_edge_m=2 * d["grid"]["ref_edge_m"],
-                                                   origin_lat=d["grid"]["origin_lat"] + 0.01))
-    out = str(tmp_path / "gz")
+def test_general_training_with_zones_is_a_usage_error(shared_run, capsys):
+    tmp_path, routes, zones, _, _ = shared_run
+    out = tmp_path / "gz"
+    capsys.readouterr()
     assert cli.main(["train", "--strategy", "general", "--routes", routes, "--zones", zones,
-                     "--config", str(tmp_path / "train.cfg"), "--out", out]) == 0
-    with open(os.path.join(out, "grid.json")) as fh, open(zones) as zfh:
-        grid = json.load(fh)
-        assert grid == json.load(zfh)["grid"]
-    with open(os.path.join(gdir, "grid.json")) as fh:
-        assert grid != json.load(fh)
+                     "--config", str(tmp_path / "train.cfg"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--zones" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -744,25 +783,65 @@ TRUNCATION_STAGES = {
 }
 
 
+def run_on_corrupted(run, name, content):
+    """Exit code and stderr lines of the stage reading `name` with `content`
+    in its place; the file is restored afterwards."""
+    path = str(run[0] / name)
+    original = read_bytes(path)
+    err = io.StringIO()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(content(original))
+        with contextlib.redirect_stderr(err):
+            code = cli.main(stage_argv(TRUNCATION_STAGES[name], run))
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+    return code, err.getvalue().splitlines()
+
+
 @pytest.mark.parametrize("name", sorted(TRUNCATION_STAGES))
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_truncated_input_exits_2(shared_run, name, data):
-    path = str(shared_run[0] / name)
-    original = read_bytes(path)
-    cut = data.draw(st.integers(0, len(original) - 1), label="offset")
-    err = io.StringIO()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(original[:cut])
-        with contextlib.redirect_stderr(err):
-            code = cli.main(stage_argv(TRUNCATION_STAGES[name], shared_run))
-    finally:
-        with open(path, "wb") as fh:
-            fh.write(original)
-    lines = err.getvalue().splitlines()
+    code, lines = run_on_corrupted(
+        shared_run, name, lambda original: original[:data.draw(
+            st.integers(0, len(original) - 1), label="offset")])
     assert code == 2
+    path = str(shared_run[0] / name)
     assert len(lines) == 1 and lines[0].startswith("data error:") and path in lines[0]
+
+
+def numeric_leaves(node, path=()):
+    """The key path of every number in a JSON value; a boolean is none."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in numeric_leaves(child, path + (key,))]
+    return [path] if type(node) in (int, float) else []
+
+
+# every number in these files is read by the stage; `eval` reads neither
+# `length_s` nor `log_prob` from a tours file
+@pytest.mark.parametrize("name", sorted(set(TRUNCATION_STAGES) - {"tours.json"}))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_number_of_the_wrong_type_exits_2(shared_run, name, data):
+    def mutate(original):
+        payload = json.loads(original)
+        *keys, last = data.draw(st.sampled_from(numeric_leaves(payload)), label="leaf")
+        block = functools.reduce(operator.getitem, keys, payload)
+        old = block[last]
+        # every integer field is written as a JSON integer, every other
+        # number with a fraction or exponent
+        wrong = [True, False, None, json.dumps(old), [old]] + [old + 0.5] * (type(old) is int)
+        block[last] = data.draw(st.sampled_from(wrong), label="value")
+        return json.dumps(payload).encode()
+
+    code, lines = run_on_corrupted(shared_run, name, mutate)
+    assert code == 2
+    # a route file's fault names the route directory and the route
+    named = shared_run[0] / ("routes" if name.startswith("routes/") else name)
+    assert len(lines) == 1 and lines[0].startswith("data error:") and str(named) in lines[0]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

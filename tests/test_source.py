@@ -6,6 +6,7 @@ from pathlib import Path
 import zoneroute
 
 PACKAGE = Path(zoneroute.__file__).parent
+ROOT = PACKAGE.parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +31,48 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def defined_names(source: str) -> list[str]:
+    """The module-level functions and classes a module defines."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def read_names(source: str, strings: bool = False) -> set[str]:
+    """Every name a module reads, as a variable, an attribute or an imported
+    name, and with `strings` every word of its string constants; a name read
+    only inside its own module-level definition does not count."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(node.value.replace(".", " ").split())
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.discard(stmt.name)
+        names |= found
+    return names
+
+
+def test_every_function_and_class_is_read_somewhere():
+    sample = ("def used(): pass\ndef recursive(): return recursive()\n"
+              "class Kept: pass\nx = [used, Kept]\n")
+    assert [name for name in defined_names(sample) if name not in read_names(sample)] == [
+        "recursive"]
+    # perfbench's traced stage patches functions by their names as strings
+    readers = [(path, "perfbench" in path.parts)
+               for path in (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+                            + sorted((ROOT / "perfbench").glob("*.py"))
+                            + [ROOT / "tests" / "test_acceptance.py",
+                               ROOT / "tests" / "tape_reference.py"])]
+    read = set().union(*(read_names(path.read_text(), strings) for path, strings in readers))
+    unread = {path.name: [name for name in defined_names(path.read_text()) if name not in read]
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == {}
