@@ -300,40 +300,40 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
                       jobs: int = 1) -> ZoneModelSet:
     """Independent per-zone training with hashed per-zone seeds.
 
-    Zone trainings share nothing mutable, so they are order-independent and
-    may run in a process pool; results are identical for any jobs count.
+    Zones are dealt over up to `jobs` processes (as many as `parallel.Team`
+    can run), this one included, and taken back in zone order: results are
+    identical for any jobs count.
     """
     if jobs < 1:
         raise DomainError(f"train_zone_models: jobs must be >= 1, got {jobs}")
     subroutes = extract_zone_subroutes(routes, zoning)
     if not subroutes:
         raise DomainError("train_zone_models: no zone has a trainable sub-instance")
-    tasks = []
+    tasks, costs = [], []
     for zone in sorted(subroutes):
         subs = subroutes[zone]
         zone_routes = [s.route for s in subs]
         random_starts = frozenset(i for i, s in enumerate(subs) if not s.full)
         zone_cfg = replace(cfg, seed=derive_seed(cfg.seed, zone))
         tasks.append((zone, zone_routes, random_starts, zone_cfg, zoning.spec))
+        costs.append(sum(r.n ** 2 for r in zone_routes))
+    def serve(positions, buffer=None):
+        return [_train_zone_worker(tasks[i]) for i in positions]
 
-    workers = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        # imported here, so stages that train no zones skip multiprocessing; forked,
-        # as `parallel.Team`'s workers are, to inherit numpy's error state
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as pool:
-                results = list(pool.map(_train_zone_worker, tasks))
-        except BrokenProcessPool as exc:  # a worker was killed, say by the OOM killer
-            raise ChildProcessError("zone training: a worker process stopped "
-                                    "unexpectedly") from exc
-    else:
-        results = [_train_zone_worker(t) for t in tasks]
+    with parallel.Team(min(jobs, len(tasks)), serve) as team:
+        # the longest-processing-time rule: costliest zone (by the sum of n²
+        # over its sub-routes) first, each to the process with the least so far
+        shares, loads = [[] for _ in range(team.size + 1)], [0] * (team.size + 1)
+        for i in sorted(range(len(tasks)), key=lambda i: -costs[i]):
+            least = loads.index(min(loads))
+            shares[least].append(i)
+            loads[least] += costs[i]
+        for k, share in enumerate(shares[1:]):
+            team.send(k, share)
+        results = serve(shares[0]) + [r for k in range(team.size) for r in team.recv(k)]
 
     zms = ZoneModelSet(zoning=zoning)
-    for zone, params, log_rows in results:  # in zone order, as the tasks
+    for zone, params, log_rows in sorted(results, key=lambda result: result[0]):
         zms.models[zone] = params
         zms.logs[zone] = log_rows
     return zms

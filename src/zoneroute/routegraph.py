@@ -47,8 +47,8 @@ class Route:
         self.travel = np.asarray(self.travel, dtype=np.float64)
         if self.travel.shape != (n, n):
             raise DataError(f"route {self.id}: travel matrix shape {self.travel.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(self.travel)):
-            raise DataError(f"route {self.id}: non-finite travel time")
+        if not np.isfinite(self.travel.sum()):  # a finite sum bounds every tour length
+            raise DataError(f"route {self.id}: travel times not finite or summing past 1.8e308")
         if np.any(self.travel < 0) or np.any(np.diag(self.travel) != 0):
             raise DataError(f"route {self.id}: travel times must be non-negative with zero diagonal")
         if self.actual_order is not None:

@@ -369,6 +369,11 @@ CONTRACT_PROBES = {
     "travel-time-Infinity": (
         "routes/travel_times.json",
         rewritten(lambda d: set_first(first_value(d["R0000"]), float("inf"))), "zones", "routes"),
+    # finite times whose sum overflows float64, so a tour's length would be inf
+    "travel-time-1e308": (
+        "routes/travel_times.json",
+        rewritten(lambda d: [row.update({j: 1e308 for j in row if j != i})
+                             for i, row in d["R0000"].items()]), "eval", "routes"),
     # a zone_id is a string or null; any stage that loads routes says so
     "zone-id-3.0": (
         "routes/route_data.json",
@@ -665,15 +670,6 @@ def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers,
     assert os.sched_getaffinity(0) == mask
 
 
-_train_zone_worker = pipeline._train_zone_worker
-
-
-def _dies_in_zone_1(task):
-    if task[0] == 1:
-        os._exit(9)
-    return _train_zone_worker(task)
-
-
 def _zoned_workspace(workspace):
     tmp_path, routes, train_cfg = workspace
     zones = str(tmp_path / "zones.json")
@@ -682,16 +678,21 @@ def _zoned_workspace(workspace):
     return zones
 
 
-def test_a_dead_zone_worker_ends_training_with_one_line(workspace, monkeypatch, capfd):
+def test_a_dead_zone_worker_ends_training_with_one_line(workspace, forked_workers, monkeypatch,
+                                                       capfd):
     tmp_path, routes, train_cfg = workspace
     zones = _zoned_workspace(workspace)
-    monkeypatch.setattr(pipeline, "_train_zone_worker", _dies_in_zone_1)
+    # this process trains zones too: only a worker dies, after its first zone
+    _in_workers(monkeypatch, pipeline, "_train_zone_worker", _exit_in_worker)
+    mask = os.sched_getaffinity(0)
     capfd.readouterr()
     assert cli.main(["train", "--strategy", "zoned", "--routes", routes, "--zones", zones,
                      "--config", train_cfg, "--out", str(tmp_path / "z"), "--jobs", "2"]) == 2
+    assert forked_workers[0] == 1
     assert capfd.readouterr().err == \
-        "data error: zone training: a worker process stopped unexpectedly\n"
+        "data error: worker process 1 stopped unexpectedly (exit code 9)\n"
     assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == mask
 
 
 # config -> exit code and stderr: Adam steps of 1e300 overflow the encoder's
@@ -704,7 +705,7 @@ NUMERIC_RUNS = {
 }
 
 # the CLI in a fresh process, where numpy's warnings reach stderr as they do
-# from a shell; general training may fork although a BLAS runs threads, and
+# from a shell; training may fork although a BLAS runs threads, and
 # each Team prints how many workers it starts
 FRESH_CLI = ("import sys; from zoneroute import cli, parallel; "
              "parallel.single_threaded = lambda: True; enter = parallel.Team.__enter__; "
@@ -730,7 +731,7 @@ def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, j
             "--out", str(tmp_path / "o"), "--jobs", jobs]
     if strategy == "zoned":
         argv += ["--zones", _zoned_workspace(workspace)]
-    elif jobs == "2":
+    if jobs == "2":
         request.getfixturevalue("forked_workers")  # skips where workers cannot run
     src = os.path.dirname(os.path.dirname(zoneroute.__file__))
     script = FRESH_CLI
@@ -739,8 +740,7 @@ def test_numeric_trouble_prints_one_line_or_none(workspace, request, strategy, j
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stderr) == (code, err)
-    if strategy == "general":
-        assert f"workers {int(jobs) - 1}\n" in done.stdout
+    assert f"workers {int(jobs) - 1}\n" in done.stdout
 
 
 def test_output_in_a_missing_directory_names_the_output(shared_run, capsys):
@@ -837,11 +837,40 @@ def test_number_of_the_wrong_type_exits_2(shared_run, name, data):
         block[last] = data.draw(st.sampled_from(wrong), label="value")
         return json.dumps(payload).encode()
 
-    code, lines = run_on_corrupted(shared_run, name, mutate)
+    assert_one_data_error(shared_run, name, *run_on_corrupted(shared_run, name, mutate))
+
+
+def assert_one_data_error(run, name, code, lines):
+    """Exit 2 and one `data error:` line naming the file, or for a route
+    file the route directory."""
+    named = run[0] / ("routes" if name.startswith("routes/") else name)
     assert code == 2
-    # a route file's fault names the route directory and the route
-    named = shared_run[0] / ("routes" if name.startswith("routes/") else name)
     assert len(lines) == 1 and lines[0].startswith("data error:") and str(named) in lines[0]
+
+
+# values of the right type that no input may hold: a stop id that a route
+# lacks, or has twice, in a tour, and a travel time that is not finite
+@pytest.mark.parametrize("name", ["routes/travel_times.json", "tours.json"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_bad_value_of_the_right_type_exits_2(shared_run, name, data):
+    def mutate(original):
+        payload = json.loads(original)
+        if name == "tours.json":
+            tour = payload["tours"][data.draw(st.sampled_from(sorted(payload["tours"])),
+                                              label="route")]
+            at = data.draw(st.integers(0, len(tour["order"]) - 1), label="position")
+            # the stop before `at` in the tour (the last one for 0) is listed twice
+            tour["order"][at] = data.draw(st.sampled_from(["NO_SUCH_STOP",
+                                                           tour["order"][at - 1]]), label="id")
+        else:
+            rows = payload[data.draw(st.sampled_from(sorted(payload)), label="route")]
+            row = rows[data.draw(st.sampled_from(sorted(rows)), label="from")]
+            row[data.draw(st.sampled_from(sorted(row)), label="to")] = data.draw(
+                st.sampled_from([float("nan"), float("inf"), float("-inf")]), label="value")
+        return json.dumps(payload).encode()  # writes NaN, Infinity and -Infinity
+
+    assert_one_data_error(shared_run, name, *run_on_corrupted(shared_run, name, mutate))
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -339,14 +338,21 @@ def test_zone_sub_route_ids_cannot_collide_with_route_ids(spec):
                                   apart.models[zone][name].data), (zone, name)
 
 
-def test_train_zone_models_jobs_parity():
+def test_train_zone_models_jobs_parity(forked_workers):
     routes = small_routes(n_routes=6, seed=41)
     spec = default_grid_spec(routes)
     zoning = kmeans(collect_cells(routes, 8, spec), 3, seed=1, spec=spec)
+    costs = {zone: sum(s.route.n ** 2 for s in subs)
+             for zone, subs in extract_zone_subroutes(routes, zoning).items()}
+    # zones are dealt costliest first, so not in zone order
+    assert sorted(costs, key=costs.get, reverse=True) == [2, 0, 1]
     cfg = TrainConfig(epochs=1, seed=2)
     seq = train_zone_models(routes, zoning, cfg, jobs=1)
+    started = len(forked_workers)
     par = train_zone_models(routes, zoning, cfg, jobs=3)
-    assert sorted(seq.models) == sorted(par.models)
+    assert forked_workers[0] == 0
+    assert forked_workers[started] == min(3, len(parallel.usable_cpus())) - 1
+    assert list(seq.models) == list(par.models) == [0, 1, 2]
     for zone in seq.models:
         for name in seq.models[zone].names():
             assert np.array_equal(seq.models[zone][name].data,
@@ -363,16 +369,13 @@ def test_train_zone_models_rejects_jobs_below_one(jobs):
         train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2), jobs=jobs)
 
 
-def test_single_zone_training_runs_without_a_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_single_zone_training_runs_without_a_pool(forked_workers):
     routes = small_routes(n_routes=4, seed=12)
     spec = default_grid_spec(routes)
     zoning = kmeans(collect_cells(routes, 7, spec), 1, seed=0, spec=spec)
     zms = train_zone_models(routes, zoning, TrainConfig(epochs=1, seed=2), jobs=4)
     assert list(zms.models) == [0]
+    assert forked_workers == [0, 0]  # the zones' Team, then the zone's training
 
 
 def test_infer_zoned_decodes_each_zone_like_infer_general():

@@ -76,3 +76,24 @@ def test_every_function_and_class_is_read_somewhere():
     unread = {path.name: [name for name in defined_names(path.read_text()) if name not in read]
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def process_imports(source: str) -> list[str]:
+    """The modules of `multiprocessing` and `concurrent` that a module
+    imports anywhere, in function bodies too."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append(node.module)
+    return [name for name in imported if name.split(".")[0] in ("multiprocessing", "concurrent")]
+
+
+def test_only_parallel_starts_processes():
+    sample = ("import os\ndef f():\n    from concurrent.futures import Executor\n"
+              "    import multiprocessing.pool as mp, json\nfrom . import parallel\n")
+    assert process_imports(sample) == ["concurrent.futures", "multiprocessing.pool"]
+    found = {path.name: process_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "parallel.py"}
+    assert {name: imported for name, imported in found.items() if imported} == {}
