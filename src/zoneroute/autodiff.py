@@ -13,10 +13,10 @@ call per row of a stack of contributions, and a `Recorder` takes chosen
 tensors' contributions instead, for `replay` to hand them over later, maybe
 in another process.  Every primitive is its forward value plus a function
 returning its inputs' gradients, made a node by `_node`, which hands them
-over in input order; `backward` walks the implicit tape in reverse
-topological order.  A finite-difference gradient checker and an Adam step
-with global gradient-norm clipping, over one flat buffer that holds every
-parameter, round the module out.
+over in input order, or by `_unary` when it has one input; `backward` walks
+the implicit tape in reverse topological order.  A finite-difference
+gradient checker and an Adam step with global gradient-norm clipping, over
+one flat buffer that holds every parameter, round the module out.
 """
 
 from __future__ import annotations
@@ -363,7 +363,8 @@ def pointer_grad(g, keys, q, v):
 
 # ---------------------------------------------------------------------------
 # primitives: each is its forward value and a function of the output
-# gradient that returns its inputs' gradients, built into a node by `_node`
+# gradient that returns its inputs' gradients, built into a node by `_node`,
+# or by `_unary` when its output is one function of its one input
 
 def _node(out, inputs, grads) -> Tensor:
     """A node holding `out` whose backward hands `inputs[i]` the i-th array
@@ -373,6 +374,14 @@ def _node(out, inputs, grads) -> Tensor:
             accumulate(t, gt)
 
     return record(out, inputs, backward)
+
+
+def _unary(a, fn, grad) -> Tensor:
+    """A node holding `out = fn(x)`, x being `a`'s data, whose backward hands
+    `a` the gradient `grad(g, x, out)`."""
+    a = _as_tensor(a)
+    out = fn(a.data)
+    return _node(out, (a,), lambda g: (grad(g, a.data, out),))
 
 
 def add(*terms) -> Tensor:
@@ -393,9 +402,8 @@ def mul(a, b) -> Tensor:
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a constant scalar (the scalar is not differentiated)."""
-    a = _as_tensor(a)
     c = float(c)
-    return _node(a.data * c, (a,), lambda g: (g * c,))
+    return _unary(a, lambda x: x * c, lambda g, x, y: g * c)
 
 
 def matmul(a, b) -> Tensor:
@@ -415,97 +423,82 @@ def concat_cols(a, b) -> Tensor:
 
 def gather_rows(a, idx) -> Tensor:
     """Select rows of `a` by (possibly repeated) integer index."""
-    a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def grads(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+    def grad(g, x, y):
+        gx = np.zeros_like(x)
+        np.add.at(gx, idx, g)
+        return gx
 
-    return _node(a.data[idx], (a,), grads)
+    return _unary(a, lambda x: x[idx], grad)
 
 
 def pick(a, i: int, j: int) -> Tensor:
     """The single entry a[i, j] as a 1x1 tensor."""
-    a = _as_tensor(a)
     i, j = int(i), int(j)
 
-    def grads(g):
-        ga = np.zeros_like(a.data)
-        ga[i, j] = g[0, 0]
-        return (ga,)
+    def grad(g, x, y):
+        gx = np.zeros_like(x)
+        gx[i, j] = g[0, 0]
+        return gx
 
-    return _node(a.data[i, j], (a,), grads)
+    return _unary(a, lambda x: x[i, j], grad)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     if int(np.prod(shape)) != a.data.size:
         raise DomainError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return _unary(a, lambda x: x.reshape(shape), lambda g, x, y: g.reshape(x.shape))
 
 
 def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    return _node(a.data.T, (a,), lambda g: (g.T,))
+    return _unary(a, lambda x: x.T, lambda g, x, y: g.T)
 
 
 def tsum(a) -> Tensor:
-    a = _as_tensor(a)
-    return _node(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
+    return _unary(a, lambda x: x.sum(), lambda g, x, y: np.full_like(x, g[0, 0]))
 
 
 def tmean(a, axis=0) -> Tensor:
     """Mean over rows (axis=0 -> 1xk)."""
-    a = _as_tensor(a)
     if axis != 0:
         raise DomainError("tmean supports axis=0 only")
-    inv = 1.0 / a.shape[0]
-    return _node(mean(a.data, 0), (a,), lambda g: (np.repeat(g, a.shape[0], axis=0) * inv,))
-
-
-def _unary(a, fn, dfn):
-    a = _as_tensor(a)
-    out = fn(a.data)
-    return _node(out, (a,), lambda g: (g * dfn(a.data, out),))
+    return _unary(a, lambda x: mean(x, 0),
+                  lambda g, x, y: np.repeat(g, len(x), axis=0) * (1.0 / len(x)))
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    return _node(relu_fwd(a.data), (a,), lambda g: (relu_grad(g, a.data),))
+    return _unary(a, relu_fwd, lambda g, x, y: relu_grad(g, x))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _unary(a, lambda x: np.where(x > 0, x, slope * x),
-                  lambda x, y: np.where(x > 0, 1.0, slope))
+                  lambda g, x, y: g * np.where(x > 0, 1.0, slope))
 
 
 def elu(a) -> Tensor:
     """ELU with alpha = 1."""
-    a = _as_tensor(a)
-    out = elu_fwd(a.data)
-    return _node(out, (a,), lambda g: (elu_grad(g, a.data, out),))
+    return _unary(a, elu_fwd, elu_grad)
 
 
 def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
+    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def sigmoid(a) -> Tensor:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y))
+    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)), lambda g, x, y: g * (y * (1.0 - y)))
 
 
 def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda x, y: y)
+    return _unary(a, np.exp, lambda g, x, y: g * y)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0):
         raise NumericError("log of non-positive value")
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
+    return _unary(a, np.log, lambda g, x, y: g * (1.0 / x))
 
 
 def masked_log_softmax(a, mask) -> Tensor:
@@ -548,7 +541,7 @@ def dropout(a, rate: float, rng: np.random.Generator | None, training: bool) -> 
     if not training or rate == 0.0:
         return a
     keep = dropout_keep(a.shape, rate, rng)
-    return _node(a.data * keep, (a,), lambda g: (g * keep,))
+    return _unary(a, lambda x: x * keep, lambda g, x, y: g * keep)
 
 
 # ---------------------------------------------------------------------------

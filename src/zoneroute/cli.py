@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except (DomainError, DataError, IOError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"data error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import make_rng
 from .baselines import nearest_neighbor, two_opt
-from .errors import DataError, DomainError, json_float, json_int
+from .errors import DataError, DomainError, NumericError, json_float, json_int
 from .hexgrid import GeoPoint, GridSpec, cell_of, format_cell_id, unproject, ProjectedPoint
 from .routegraph import Route, Stop
 
@@ -73,10 +73,15 @@ def _atomic_open(path, **open_kwargs):
 
 
 def write_json(path, payload, **dumps_kwargs) -> None:
-    """Write `payload` as JSON to `path` atomically."""
-    with _atomic_open(path) as fh:
+    """Write `payload` as JSON to `path` atomically.  A NaN or infinity in it
+    is one NumericError naming `path`, and nothing is written."""
+    try:
         # json.dumps runs the C encoder; json.dump would use the pure-Python one
-        fh.write(json.dumps(payload, **dumps_kwargs))
+        text = json.dumps(payload, allow_nan=False, **dumps_kwargs)
+    except ValueError as exc:
+        raise NumericError(f"{path}: cannot write a non-finite number ({exc})") from exc
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_csv(path, header, rows) -> None:
@@ -91,7 +96,8 @@ def write_csv(path, header, rows) -> None:
 def load_routes(dir_path) -> list[Route]:
     """Parse the three-file layout into Route values with a deterministic
     (sorted stop id) index order.  A fault in a route's content is one
-    DataError naming the directory and the route id."""
+    DataError naming the directory and the route id, and so is a directory
+    without a route."""
     route_path = os.path.join(dir_path, "route_data.json")
     travel_path = os.path.join(dir_path, "travel_times.json")
     seq_path = os.path.join(dir_path, "actual_sequences.json")
@@ -110,6 +116,8 @@ def load_routes(dir_path) -> list[Route]:
             # Route checks its own fields, naming the route
             routes.append(Route(id=route_id, stops=stops, travel=travel,
                                 actual_order=actual_order))
+        if not routes:
+            raise DataError("route_data.json holds no routes")
     return routes
 
 

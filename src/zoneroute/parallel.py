@@ -180,8 +180,7 @@ class Team:
         except (EOFError, OSError):
             self._stopped(k)
         if status == "error":
-            kind, message = reply
-            raise kind(message)
+            raise _rebuilt(*reply)
         return reply[0]
 
     def _stopped(self, k: int):
@@ -189,6 +188,17 @@ class Team:
         proc.join(1.0)
         raise ChildProcessError(f"worker process {k + 1} stopped unexpectedly "
                                 f"(exit code {proc.exitcode})")
+
+
+def _rebuilt(kind, message: str) -> BaseException:
+    """A worker's exception of type `kind` as `kind(message)`, or, where that
+    type takes more than a message (numpy's `_ArrayMemoryError` takes a
+    shape and a dtype), as the nearest base class that takes a message."""
+    for cls in kind.__mro__:
+        try:
+            return cls(message)
+        except TypeError:
+            continue
 
 
 def _serve(conn, cpu: int, serve, buffer: SharedBuffer, inherited) -> None:

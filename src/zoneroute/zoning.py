@@ -115,8 +115,7 @@ def kmeans(cells: set[HexCellId], k: int, seed: int, spec: GridSpec,
 
 
 def zone_of_point(x: float, y: float, z: Zoning) -> int:
-    d2 = ((z.centroids - np.array([x, y])) ** 2).sum(axis=1)
-    return int(d2.argmin())
+    return int(_nearest(np.array([[x, y]]), z.centroids)[0])
 
 
 def zone_of_stop(s: Stop, z: Zoning, p: ProjectedPoint | None = None) -> int:

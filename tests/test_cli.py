@@ -15,9 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import zoneroute
 from zoneroute import autodiff as ad
-from zoneroute import cli, dataio, pipeline
+from zoneroute import cli, dataio, parallel, pipeline
 from zoneroute.errors import NumericError
 from zoneroute.routegraph import Route
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy before 2.0
+    from numpy.core._exceptions import _ArrayMemoryError
 
 
 def read_bytes(path):
@@ -356,6 +361,8 @@ CONTRACT_PROBES = {
         rewritten(lambda d: d.update(R0000=list(d["R0000"].values()))), "zones", "routes"),
     "routes-top-level-list": ("routes/route_data.json", edited_text(lambda text: f"[{text}]"),
                               "zones", "routes"),
+    # a directory without a route has no tour to infer
+    "routes-none": ("routes/route_data.json", rewritten(dict.clear), "infer-general", "routes"),
     "travel-time-abc": (
         "routes/travel_times.json",
         rewritten(lambda d: set_first(first_value(d["R0000"]), "abc")), "zones", "routes"),
@@ -492,6 +499,43 @@ def test_eval_on_a_zero_length_ground_truth_names_the_route(general_run, capsys)
                      "--out", str(tmp_path / "r.json")]) == 2
     err = assert_data_error_naming(routes, capsys)
     assert "route R0000" in err
+
+
+def test_eval_on_an_overflowing_percentage_error_exits_3_writing_nothing(general_run, capsys):
+    tmp_path, routes, zones, _, tours = general_run
+    # R0000's ground truth takes 1e-300 s an edge and every other edge 1e10 s,
+    # so the reversed tour's percentage error overflows to inf
+    route = dataio.load_routes(routes)[0]
+    ids = [route.stops[i].id for i in route.actual_order]
+    edges = set(zip(ids, ids[1:]))
+
+    def tiny_truth(payload):
+        for a, row in payload["R0000"].items():
+            row.update({b: 1e-300 if (a, b) in edges else 1e10 for b in row})
+
+    rewrite_json(os.path.join(routes, "travel_times.json"), tiny_truth)
+    rewrite_json(tours, lambda payload: payload["tours"]["R0000"].update(order=ids[::-1]))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--routes", routes, "--tours-general", tours,
+                     "--tours-zoned", tours, "--zones", zones, "--out", str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error:") and err.count("\n") == 1
+    assert str(report) in err
+    assert not list(tmp_path.glob("report.json*"))
+
+
+def test_zones_on_a_directory_without_routes_prints_one_line(workspace):
+    tmp_path, routes, _ = workspace
+    rewrite_json(os.path.join(routes, "route_data.json"), dict.clear)
+    src = os.path.dirname(os.path.dirname(zoneroute.__file__))
+    # in a fresh process, where a numpy warning would reach stderr
+    done = subprocess.run([sys.executable, "-m", "zoneroute.cli", "zones", "--routes", routes,
+                           "--k", "1", "--out", str(tmp_path / "z.json")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == \
+        (2, f"data error: {routes}: route_data.json holds no routes\n")
+    assert not (tmp_path / "z.json").exists()
 
 
 def cut_to_station(routes, count):
@@ -650,6 +694,15 @@ def _exit_in_worker(_):
     os._exit(9)
 
 
+def _no_memory():
+    """numpy's error for an array of 8 TiB, made without allocating one."""
+    return _ArrayMemoryError((2 ** 40,), np.dtype(float))
+
+
+def _out_of_memory(*_):
+    raise _no_memory()
+
+
 @pytest.mark.parametrize("fault, code, line", [
     # the decoder emits NaN logits, which its check turns into a NumericError
     ((ad, "pointer_fwd", lambda logits: logits * np.nan), 3,
@@ -657,6 +710,8 @@ def _exit_in_worker(_):
     # the worker dies while it encodes a route
     ((pipeline, "encode", _exit_in_worker), 2,
      "data error: worker process 1 stopped unexpectedly (exit code 9)\n"),
+    # the worker cannot allocate while it encodes a route
+    ((pipeline, "encode", _out_of_memory), 2, f"data error: out of memory: {_no_memory()}\n"),
 ])
 def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers, monkeypatch,
                                                       capfd, fault, code, line):
@@ -668,6 +723,30 @@ def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers,
     assert capfd.readouterr().err == line
     assert multiprocessing.active_children() == []
     assert os.sched_getaffinity(0) == mask
+
+
+def test_a_worker_allocation_failure_is_raised_here_as_a_memory_error(forked_workers):
+    # numpy's _ArrayMemoryError cannot be built from its message alone
+    with parallel.Team(2, _out_of_memory) as team:
+        team.send(0, "request")
+        with pytest.raises(MemoryError) as caught:
+            team.recv(0)
+    assert forked_workers == [1]
+    assert str(caught.value) == str(_no_memory())
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError, "data error: out of memory: an allocation failed\n"),
+    (_no_memory, f"data error: out of memory: {_no_memory()}\n"),
+], ids=["bare", "numpy"])
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, error, line):
+    def fail(cfg):
+        raise error()
+
+    monkeypatch.setattr(dataio, "generate_synthetic", fail)
+    cfg = write_config(tmp_path / "s.cfg", n_routes=2, seed=1)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == line
 
 
 def _zoned_workspace(workspace):
