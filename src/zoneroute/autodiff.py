@@ -94,14 +94,13 @@ class Recorder:
     """A context manager that stands in for the `.grad` of a fixed list of
     tensors: within it, `accumulate_rows` on one of them appends (its index,
     right, left) to `calls` instead of adding anything, `accumulate` a stack
-    of its one row, each array passed through `keep`, which must copy it (it
-    may be a view of another node's gradient).  `replay` makes the same
-    calls later, on the same tensors or on their twins in another process."""
+    of its one row, each array a C-ordered copy (it may be a view of another
+    node's gradient).  `replay` makes the same calls later, on the same
+    tensors or on their twins in another process."""
 
-    def __init__(self, tensors, keep=np.array):
+    def __init__(self, tensors):
         self.tensors = list(tensors)
         self.index = {id(t): k for k, t in enumerate(self.tensors)}
-        self.keep = keep
         self.calls = []
 
     def __enter__(self):
@@ -114,16 +113,15 @@ class Recorder:
             t.recorder = None
 
     def take(self, t: Tensor, right, left) -> None:
-        self.calls.append((self.index[id(t)], self.keep(right),
-                           None if left is None else self.keep(left)))
+        self.calls.append((self.index[id(t)], np.array(right, order="C"),
+                           None if left is None else np.array(left, order="C")))
 
 
-def replay(tensors, calls, fetch=np.asarray):
-    """Make the recorded `calls` on `tensors`, in order, each kept array
-    passed through `fetch`: each gradient gets the bits it would have got
-    had they been made where they were recorded."""
+def replay(tensors, calls):
+    """Make the recorded `calls` on `tensors`, in order: each gradient gets
+    the bits it would have got had they been made where they were recorded."""
     for k, right, left in calls:
-        accumulate_rows(tensors[k], fetch(right), None if left is None else fetch(left))
+        accumulate_rows(tensors[k], right, left)
 
 
 def accumulate(t: Tensor, g: np.ndarray):

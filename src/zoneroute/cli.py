@@ -183,6 +183,9 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no `--res` for `--resolution`, in subcommands too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -1,6 +1,6 @@
 """Forked worker processes, each pinned to a CPU of its own, that answer
-requests over a pipe and hand bulk float64 arrays back through a buffer they
-share with the process that started them.
+requests over a pipe and hand the numpy arrays of their replies back through
+shared memory.
 
 Forking lets the workers start with everything the parent built, shared
 mappings included, with nothing pickled.  This needs fork, CPU affinity and
@@ -17,13 +17,11 @@ that delay, by an amount that depends on the host's load.
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
+import pickle
 import signal
 import time
-
-import numpy as np
 
 
 POLL_S = 0.05  # how long a process polls its pipe before it sleeps on it
@@ -66,37 +64,40 @@ def supported() -> bool:
 
 
 class SharedBuffer:
-    """A growable float64 array in a memfd.  Arrays that one process `store`s
-    are read back with `array` by any other that holds the buffer, which it
-    must have been made before the fork.  Only the pages written take memory."""
+    """A growable memfd, made before the fork, that carries values between
+    processes: `dumps` pickles a value, writing its contiguous numpy arrays into
+    the memfd from its start; `loads` rebuilds it with those arrays as views of
+    the memfd, valid until the next `dumps`.  Only pages written take memory."""
 
     def __init__(self):
         self.fd = os.memfd_create("zoneroute")
-        self.used = 0  # doubles stored; a worker resets it before each request
-        self._view = np.empty(0)
+        self._view = memoryview(b"")
 
-    def _mapped(self, doubles: int) -> np.ndarray:
-        """This process's view of the buffer, at least `doubles` long."""
-        if self._view.size < doubles:
-            size = os.fstat(self.fd).st_size
-            if size < 8 * doubles:
-                size = -(-max(8 * doubles, 2 * size, 1 << 20) // mmap.PAGESIZE) * mmap.PAGESIZE
-                os.ftruncate(self.fd, size)
-            self._view = np.frombuffer(mmap.mmap(self.fd, size), dtype=np.float64)
+    def _mapped(self, size: int) -> memoryview:
+        """This process's view of the memfd, at least `size` bytes long."""
+        if len(self._view) < size:
+            length = os.fstat(self.fd).st_size
+            if length < size:
+                length = -(-max(size, 2 * length, 1 << 20) // mmap.PAGESIZE) * mmap.PAGESIZE
+                os.ftruncate(self.fd, length)
+            self._view = memoryview(mmap.mmap(self.fd, length))
         return self._view
 
-    def store(self, arr) -> tuple:
-        """Copy `arr` in after what is stored; returns the handle `array` takes."""
-        arr = np.asarray(arr)
-        start, self.used = self.used, self.used + arr.size
-        self._mapped(self.used)[start:self.used].reshape(arr.shape)[...] = arr
-        return start, arr.shape
+    def dumps(self, value) -> tuple:
+        """The pickle of `value` and each array's (start, end) in the memfd."""
+        frames, spans, end = [], [], 0
+        data = pickle.dumps(value, protocol=5, buffer_callback=frames.append)
+        for frame in frames:
+            raw = frame.raw()
+            start = -(-end // 64) * 64  # a cache line's start: the views are aligned
+            end = start + raw.nbytes
+            self._mapped(end)[start:end] = raw
+            spans.append((start, end))
+        return data, spans
 
-    def array(self, handle) -> np.ndarray:
-        """A view of the array that `store` returned `handle` for."""
-        start, shape = handle
-        size = math.prod(shape)
-        return self._mapped(start + size)[start:start + size].reshape(shape)
+    def loads(self, data: bytes, spans):
+        view = self._mapped(spans[-1][1] if spans else 0)
+        return pickle.loads(data, buffers=[view[start:end] for start, end in spans])
 
     def close(self) -> None:
         os.close(self.fd)
@@ -111,9 +112,12 @@ class Team:
     affinity mask is restored.
 
     Worker k answers each request `send(k, request)` makes with
-    `serve(request, buffers[k])`, which stores from the buffer's start and
-    whose result `recv(k)` returns, or with the type and message of the
-    exception it raised, which `recv(k)` raises.  A worker that stops
+    `serve(request)`, whose result `recv(k)` returns, or with the type and
+    message of the exception it raised, which `recv(k)` raises.  A result
+    crosses as it is, but for its contiguous numpy arrays, which the worker
+    writes into a memfd of its own (a `SharedBuffer`) and which arrive as
+    views of it: no copy is made, and the views stay valid until that
+    worker's next reply, even after the Team has exited.  A worker that stops
     without answering makes `recv` raise ChildProcessError.  `size` is the
     number of workers; with 0 nothing is started."""
 
@@ -181,7 +185,14 @@ class Team:
             self._stopped(k)
         if status == "error":
             raise _rebuilt(*reply)
-        return reply[0]
+        return self.buffers[k].loads(*reply)
+
+    def run(self, requests, here) -> list:
+        """The answers to `requests`, in order: worker k answers requests[k + 1],
+        all sent first, while this process runs `here(requests[0])`."""
+        for k, request in enumerate(requests[1:]):
+            self.send(k, request)
+        return [here(requests[0])] + [self.recv(k) for k in range(len(requests) - 1)]
 
     def _stopped(self, k: int):
         proc = self.procs[k]
@@ -213,9 +224,8 @@ def _serve(conn, cpu: int, serve, buffer: SharedBuffer, inherited) -> None:
             request = _receive(conn)
         except EOFError:
             return
-        buffer.used = 0  # each request stores from the buffer's start
         try:
-            reply = ("ok", serve(request, buffer))
+            reply = ("ok", *buffer.dumps(serve(request)))
         except Exception as exc:  # handed to the parent, which raises it
             reply = ("error", type(exc), str(exc))
         try:

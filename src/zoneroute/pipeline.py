@@ -163,14 +163,16 @@ class _Share:
     def greedy_lengths(self, positions) -> list[float]:
         return [_greedy(self.graphs[i], self.routes[i], self.params).length for i in positions]
 
-    def serve(self, request, buffer: parallel.SharedBuffer):
-        """A worker's answer to (method name, *args): the method's result and
-        the list of calls for `ad.replay` that a backward made on the
-        parameters, which are recorded into `buffer`, not added; the calls
-        hold buffer handles for arrays."""
+    def run(self, request):
+        """This process's answer to (method name, *args): the method's result."""
         op, *args = request
-        with ad.Recorder(self.params.as_list(), buffer.store) as recorder:
-            out = getattr(self, op)(*args)
+        return getattr(self, op)(*args)
+
+    def serve(self, request):
+        """A worker's answer to `request`: `run`'s, and the calls for `ad.replay`
+        that a backward made on the parameters, recorded instead of added."""
+        with ad.Recorder(self.params.as_list()) as recorder:
+            out = self.run(request)
         return out, recorder.calls
 
 
@@ -189,15 +191,8 @@ def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args):
     item order, and the gradient calls recorded by each worker that took a
     chunk, in chunk order."""
     chunks = _split(items, team.size + 1)
-    for k, chunk in enumerate(chunks[1:]):
-        team.send(k, (op, chunk, *args))
-    out = list(getattr(share, op)(chunks[0], *args))
-    calls = []
-    for k in range(len(chunks) - 1):
-        part, recorded = team.recv(k)
-        out += part
-        calls.append(recorded)
-    return out, calls
+    here, *there = team.run([(op, chunk, *args) for chunk in chunks], share.run)
+    return list(here) + [x for part, _ in there for x in part], [calls for _, calls in there]
 
 
 def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg, rng,
@@ -232,13 +227,11 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-        for k in range(len(calls)):
-            team.send(k, ("backward", baseline, rollouts))
-        share.backward(baseline, rollouts)
-        calls = [team.recv(k)[1] for k in range(len(calls))]
+        _, *there = team.run([("backward", baseline, rollouts)] * (len(calls) + 1), share.run)
+        calls = [recorded for _, recorded in there]
     plist = share.params.as_list()
-    for buffer, recorded in zip(team.buffers, calls):
-        ad.replay(plist, recorded, buffer.array)
+    for recorded in calls:
+        ad.replay(plist, recorded)
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in plist]
     ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     for p in plist:
@@ -317,7 +310,7 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
         zone_cfg = replace(cfg, seed=derive_seed(cfg.seed, zone))
         tasks.append((zone, zone_routes, random_starts, zone_cfg, zoning.spec))
         costs.append(sum(r.n ** 2 for r in zone_routes))
-    def serve(positions, buffer=None):
+    def serve(positions):
         return [_train_zone_worker(tasks[i]) for i in positions]
 
     with parallel.Team(min(jobs, len(tasks)), serve) as team:
@@ -328,9 +321,7 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
             least = loads.index(min(loads))
             shares[least].append(i)
             loads[least] += costs[i]
-        for k, share in enumerate(shares[1:]):
-            team.send(k, share)
-        results = serve(shares[0]) + [r for k in range(team.size) for r in team.recv(k)]
+        results = [r for part in team.run(shares, serve) for r in part]
 
     zms = ZoneModelSet(zoning=zoning)
     for zone, params, log_rows in sorted(results, key=lambda result: result[0]):

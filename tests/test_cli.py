@@ -649,6 +649,17 @@ def test_train_jobs_below_one_is_a_usage_error(tmp_path, jobs, capsys):
     assert err.startswith("usage error:") and "--jobs" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["zones", "--routes", "r", "--res", "7", "--out", "z.json"], "--res 7"),
+    (["train", "--strategy", "general", "--routes", "r", "--config", "t.cfg", "--out", "o",
+      "--job", "2"], "--job 2"),
+], ids=["zones-res", "train-job"])
+def test_an_abbreviated_flag_is_a_usage_error(argv, flag, capsys):
+    # argparse would take a flag's prefix for the flag
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag}\n"
+
+
 def test_train_jobs_defaults_to_the_usable_cpus(monkeypatch):
     argv = ["train", "--strategy", "general", "--routes", "r", "--config", "c", "--out", "o"]
     monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import threading
 from dataclasses import replace
@@ -231,35 +232,48 @@ def test_general_training_runs_in_one_process_where_workers_cannot(monkeypatch):
         train_general(routes, TrainConfig(epochs=1, seed=2), default_grid_spec(routes), jobs=0)
 
 
-@pytest.mark.skipif(not all(hasattr(os, name) for name in ("fork", "memfd_create")),
-                    reason="needs fork and memfd")
-def test_a_shared_buffer_grown_past_its_first_mib_by_a_forked_process_reads_back():
-    # as a worker's recording does: the buffer exists before the fork, the
-    # child's stores grow its memfd, and this process maps the grown file
-    buffer = parallel.SharedBuffer()
+def _leaves(value):
+    """The arrays in `value`, a nest of tuples and dicts, depth first."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_a_worker_reply_carries_its_arrays_through_shared_memory(monkeypatch, forked_workers):
+    # a reply holding more than 1 MiB of arrays grows the worker's memfd past
+    # its first MiB; a smaller reply follows, written over the first.  Each
+    # arrives with the bits sent, the last stays so after the Team exits, and
+    # no array crosses the pipe
     rng = np.random.default_rng(7)
-    arrays = [rng.standard_normal(shape) for shape in ((300, 200), (1, 5), (400, 250))]
-    assert sum(a.nbytes for a in arrays) > 1 << 20
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child stores every array and reports the handles
-        code = 1
-        try:
-            os.write(write, json.dumps([buffer.store(a) for a in arrays]).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    with os.fdopen(read) as fh:
-        handles = json.load(fh)
-    assert os.waitpid(pid, 0)[1] == 0
-    try:
-        assert os.fstat(buffer.fd).st_size > 1 << 20
-        for arr, handle in zip(arrays, handles):
-            back = buffer.array(handle)
-            assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
-    finally:
-        buffer.close()
+    replies = [
+        {"c": rng.standard_normal((400, 250)),
+         "nested": (np.asfortranarray(rng.standard_normal((300, 200))),
+                    {"reversed": rng.standard_normal((40, 30))[::-1, ::-1]}),
+         "empty": np.empty((0, 4)), "one": np.full((1, 1), 2.5)},
+        (np.arange(12, dtype=np.int32).reshape(3, 4), rng.standard_normal((5, 2))[::-1]),
+    ]
+    assert sum(a.nbytes for a in _leaves(replies[0])) > 1 << 20
+    received = []
+    receive = parallel._receive
+    monkeypatch.setattr(parallel, "_receive",
+                        lambda conn: received.append(receive(conn)) or received[-1])
+
+    def same(sent, got):
+        return [(a.dtype, a.shape, a.tobytes()) for a in _leaves(sent)] == \
+            [(b.dtype, b.shape, b.tobytes()) for b in _leaves(got)]
+
+    with parallel.Team(2, replies.__getitem__) as team:
+        for k, reply in enumerate(replies):
+            team.send(0, k)
+            back = team.recv(0)
+            assert same(reply, back)
+            if k == 0:
+                assert os.fstat(team.buffers[0].fd).st_size > 1 << 20
+                assert len(pickle.dumps(received[-1])) < 1 << 16
+    assert forked_workers == [1]
+    assert same(replies[1], back)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
