@@ -39,7 +39,7 @@ def _parse_config_file(path, cls):
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()

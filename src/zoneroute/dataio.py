@@ -45,10 +45,13 @@ def data_errors(name):
 
 def read_json(path, parse=None):
     """The JSON value in `path`, passed through `parse` when given; malformed
-    JSON, or a fault `parse` meets in the content, is one DataError naming
-    `path`."""
+    JSON, JSON nested deeper than the decoder recurses, or a fault `parse`
+    meets in the content, is one DataError naming `path`."""
     with open(path) as fh, data_errors(path):
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"JSON nested too deeply: {exc}") from exc
         return payload if parse is None else parse(payload)
 
 

@@ -111,14 +111,14 @@ class Team:
     (k + 2)-th; on exit the pipes close, the workers end and this process's
     affinity mask is restored.
 
-    Worker k answers each request `send(k, request)` makes with
-    `serve(request)`, whose result `recv(k)` returns, or with the type and
-    message of the exception it raised, which `recv(k)` raises.  A result
-    crosses as it is, but for its contiguous numpy arrays, which the worker
-    writes into a memfd of its own (a `SharedBuffer`) and which arrive as
-    views of it: no copy is made, and the views stay valid until that
+    `run` is the one exchange with the workers: worker k answers the request
+    it hands over with `serve(request)`, whose result `run` returns, or with
+    the type and message of the exception it raised, which `run` raises.  A
+    result crosses as it is, but for its contiguous numpy arrays, which the
+    worker writes into a memfd of its own (a `SharedBuffer`) and which arrive
+    as views of it: no copy is made, and the views stay valid until that
     worker's next reply, even after the Team has exited.  A worker that stops
-    without answering makes `recv` raise ChildProcessError.  `size` is the
+    without answering makes `run` raise ChildProcessError.  `size` is the
     number of workers; with 0 nothing is started."""
 
     def __init__(self, processes: int, serve):
@@ -172,27 +172,24 @@ class Team:
         self.conns, self.procs, self.buffers, self.mask = [], [], [], None
         return False
 
-    def send(self, k: int, request) -> None:
-        try:
-            self.conns[k].send(request)
-        except OSError:
-            self._stopped(k)
-
-    def recv(self, k: int):
-        try:
-            status, *reply = _receive(self.conns[k])
-        except (EOFError, OSError):
-            self._stopped(k)
-        if status == "error":
-            raise _rebuilt(*reply)
-        return self.buffers[k].loads(*reply)
-
     def run(self, requests, here) -> list:
         """The answers to `requests`, in order: worker k answers requests[k + 1],
         all sent first, while this process runs `here(requests[0])`."""
         for k, request in enumerate(requests[1:]):
-            self.send(k, request)
-        return [here(requests[0])] + [self.recv(k) for k in range(len(requests) - 1)]
+            try:
+                self.conns[k].send(request)
+            except OSError:
+                self._stopped(k)
+        answers = [here(requests[0])]
+        for k in range(len(requests) - 1):
+            try:
+                status, *reply = _receive(self.conns[k])
+            except (EOFError, OSError):
+                self._stopped(k)
+            if status == "error":
+                raise _rebuilt(*reply)
+            answers.append(self.buffers[k].loads(*reply))
+        return answers
 
     def _stopped(self, k: int):
         proc = self.procs[k]

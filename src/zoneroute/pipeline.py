@@ -25,7 +25,7 @@ from .hexgrid import GeoPoint, GridSpec
 from .model import (DecodeResult, ModelConfig, ModelParams, decode,
                     decode_tape, encode, reinforce_loss, training_draws)
 from .routegraph import Route, build_graph, project_stops, tour_length
-from .zoning import Zoning, load_zoning, save_zoning, stops_by_zone
+from .zoning import Zoning, _nearest, load_zoning, save_zoning, stops_by_zone
 
 
 @dataclass
@@ -120,7 +120,7 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
                 lengths, baseline = _train_batch(batch, share, team, state, baseline,
                                                  cfg, rng, random_starts)
                 sampled_lengths.extend(lengths)
-            greedy_lengths, _ = _in_chunks(team, share, "greedy_lengths", list(eval_positions))
+            greedy_lengths = _in_chunks(team, share, "greedy_lengths", list(eval_positions))
             log_rows.append((epoch, float(np.mean(sampled_lengths)),
                              float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
@@ -137,12 +137,13 @@ class _Share:
         self.rng = make_rng(0)  # each route restores its own snapshot
         self.log_probs, self.lengths = [], []
 
-    def backward(self, baseline: float, rollouts: int) -> None:
-        """The backward of these rollouts' share of the REINFORCE loss of a
-        batch of `rollouts` rollouts; frees their tape."""
+    def backward(self, items, baseline: float, rollouts: int) -> list:
+        """The backward of the last `rollouts(items, ...)` call's share of the
+        REINFORCE loss of a batch of `rollouts` rollouts; frees their tape."""
         loss = reinforce_loss(self.log_probs, self.lengths, baseline, rollouts)
         self.log_probs = []
         ad.backward(loss)
+        return []
 
     def rollouts(self, items, baseline, rollouts: int) -> list[float]:
         """Sampled rollouts of (position, start, rng state) items, each route
@@ -157,7 +158,7 @@ class _Share:
                 self.log_probs.append(logp)
                 self.lengths.append(tour_length(tour, self.routes[i].travel))
         if baseline is not None:
-            self.backward(baseline, rollouts)
+            self.backward(items, baseline, rollouts)
         return self.lengths
 
     def greedy_lengths(self, positions) -> list[float]:
@@ -185,14 +186,17 @@ def _split(items, parts: int) -> list:
     return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args):
+def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args) -> list:
     """`share.op(chunk, *args)` over `items` cut into chunks: this process
-    runs the first, worker k the (k + 1)-th.  Returns the results joined in
-    item order, and the gradient calls recorded by each worker that took a
-    chunk, in chunk order."""
+    runs the first, worker k the (k + 1)-th.  The gradient calls each worker
+    recorded are replayed here chunk after chunk, after this process's own
+    work.  Returns the results joined in item order."""
     chunks = _split(items, team.size + 1)
     here, *there = team.run([(op, chunk, *args) for chunk in chunks], share.run)
-    return list(here) + [x for part, _ in there for x in part], [calls for _, calls in there]
+    plist = share.params.as_list()
+    for _, calls in there:
+        ad.replay(plist, calls)
+    return list(here) + [x for part, _ in there for x in part]
 
 
 def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg, rng,
@@ -205,16 +209,15 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
     For each route in batch order, `rng` draws its random start, if it has
     one, and is then copied and moved past the draws the route's training
     pass takes (`training_draws`); the route runs on a Generator in the copied
-    state, wherever it runs.  The batch is cut into contiguous chunks of
-    routes, the first for this process and the others for the workers.  Each
-    process runs its chunk's rollouts and backpropagates their share of the
-    loss, in one request; only the first batch, whose baseline is its own
-    mean, sends every length back before any backward starts.  The workers'
-    parameter gradients are then replayed here chunk after chunk.  That is
-    the order in which the whole batch's one backward hands them over: its
-    reversed topological order takes the routes one at a time, the samples
-    of a route together, and no parameter serves both the encoder and the
-    decoder."""
+    state, wherever it runs.  `_in_chunks` cuts the batch into contiguous
+    chunks of routes, the first for this process and the others for the
+    workers.  Each process runs its chunk's rollouts and their share of the
+    loss's backward, in one request; only the first batch, whose baseline is
+    its own mean, asks for the backward in a second request.  `_in_chunks`
+    replays the workers' gradients here chunk after chunk, the order in which
+    the whole batch's one backward hands them over: its reversed topological
+    order takes the routes one at a time, the samples of a route together,
+    and no parameter serves both the encoder and the decoder."""
     routes, config = share.routes, share.params.config
     items = []
     for i in batch:
@@ -223,15 +226,12 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
         items.append((i, start, rng.bit_generator.state))
         rng.random(training_draws(route.n, config, cfg.samples_per_route))
     rollouts = len(items) * cfg.samples_per_route
-    lengths, calls = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
+    lengths = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-        _, *there = team.run([("backward", baseline, rollouts)] * (len(calls) + 1), share.run)
-        calls = [recorded for _, recorded in there]
+        _in_chunks(team, share, "backward", items, baseline, rollouts)
     plist = share.params.as_list()
-    for recorded in calls:
-        ad.replay(plist, recorded)
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in plist]
     ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     for p in plist:
@@ -339,8 +339,9 @@ def infer_general(route: Route, params: ModelParams, spec: GridSpec) -> DecodeRe
 
 def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
     """Greedy zone stitching: order zones by nearest stop centroid from the
-    current position, decode each zone's sub-instance with its own model.
-    Each stop is projected once."""
+    current position, enter each at its stop nearest that position (ties, by
+    `_nearest`, to the lowest zone id and stop index), and decode each zone's
+    sub-instance with its own model.  Each stop is projected once."""
     zoning = zms.zoning
     points = project_stops(route, zoning.spec)
     by_zone = stops_by_zone(route, zoning, points)
@@ -352,11 +353,10 @@ def infer_zoned(route: Route, zms: ZoneModelSet) -> DecodeResult:
     total_log_prob = 0.0
     while by_zone:
         if order:
-            position = points[order[-1]]
-            zone = min(by_zone,
-                       key=lambda z: (float(((zone_centroids[z] - position) ** 2).sum()), z))
-            entry = min(by_zone[zone],
-                        key=lambda i: (float(((points[i] - position) ** 2).sum()), i))
+            position = points[order[-1]][None]
+            zones = sorted(by_zone)
+            zone = zones[_nearest(position, np.array([zone_centroids[z] for z in zones]))[0]]
+            entry = by_zone[zone][_nearest(position, points[by_zone[zone]])[0]]
         indices = by_zone.pop(zone)
         sub = _sub_route(route, indices, zone, entry)
         params = zms.models.get(zone)

@@ -88,7 +88,7 @@ def kmeans(cells: set[HexCellId], k: int, seed: int, spec: GridSpec,
     cell_list = sorted(cells, key=lambda c: (c.resolution, c.q, c.r))
     if resolution is None:
         resolution = cell_list[0].resolution
-    points = np.array([[centroid(c, spec).x, centroid(c, spec).y] for c in cell_list])
+    points = np.array([[p.x, p.y] for p in (centroid(c, spec) for c in cell_list)])
 
     rng = make_rng(seed)
     centers = _kmeanspp_init(points, k, rng)
@@ -114,10 +114,6 @@ def kmeans(cells: set[HexCellId], k: int, seed: int, spec: GridSpec,
                   centroids=centers, cell_to_zone=cell_to_zone)
 
 
-def zone_of_point(x: float, y: float, z: Zoning) -> int:
-    return int(_nearest(np.array([[x, y]]), z.centroids)[0])
-
-
 def zone_of_stop(s: Stop, z: Zoning, p: ProjectedPoint | None = None) -> int:
     """Zone of a stop: cell lookup, falling back to nearest centroid.  `p`
     is the stop's projection when the caller already has it."""
@@ -126,7 +122,7 @@ def zone_of_stop(s: Stop, z: Zoning, p: ProjectedPoint | None = None) -> int:
     cell = cell_of(p, z.resolution, z.spec)
     if cell in z.cell_to_zone:
         return z.cell_to_zone[cell]
-    return zone_of_point(p.x, p.y, z)
+    return int(_nearest(np.array([[p.x, p.y]]), z.centroids)[0])
 
 
 def stops_by_zone(route: Route, z: Zoning,

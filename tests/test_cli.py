@@ -146,6 +146,17 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(b"n_routes = 3\n\xff\xfe\n")
+    out = tmp_path / "r"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "t.cfg", epochs=1)
     assert cli.main(["train", "--strategy", "general",
@@ -339,6 +350,7 @@ def edited_text(edit):
 
 
 truncate = edited_text(lambda text: text[:len(text) // 2])
+nested_arrays = edited_text(lambda text: "[" * 100_000 + "]" * 100_000)
 
 
 def set_first(block, value):
@@ -468,6 +480,9 @@ CONTRACT_PROBES = {
                           "infer-zoned", "z/zones/zone_0.ckpt.json"),
     "manifest-zone-id-x": ("z/zones/manifest.json", rewritten(lambda d: d.update(zones=["x"])),
                            "infer-zoned", "z/zones/manifest.json"),
+    # arrays nested deeper than the JSON decoder recurses, on any Python
+    "routes-nested-arrays": ("routes/route_data.json", nested_arrays, "zones", "routes"),
+    "tours-nested-arrays": ("tours.json", nested_arrays, "eval", "tours.json"),
 }
 
 
@@ -739,9 +754,8 @@ def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers,
 def test_a_worker_allocation_failure_is_raised_here_as_a_memory_error(forked_workers):
     # numpy's _ArrayMemoryError cannot be built from its message alone
     with parallel.Team(2, _out_of_memory) as team:
-        team.send(0, "request")
         with pytest.raises(MemoryError) as caught:
-            team.recv(0)
+            team.run([None, "request"], lambda _: None)
     assert forked_workers == [1]
     assert str(caught.value) == str(_no_memory())
 

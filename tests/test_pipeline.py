@@ -14,7 +14,7 @@ from zoneroute import zoning as zoning_module
 from zoneroute.baselines import nearest_neighbor
 from zoneroute.dataio import SynthConfig, generate_synthetic
 from zoneroute.errors import DataError, DomainError
-from zoneroute.hexgrid import project
+from zoneroute.hexgrid import GeoPoint, GridSpec, project
 from zoneroute.pipeline import (
     TrainConfig,
     ZoneModelSet,
@@ -195,9 +195,9 @@ def test_each_minibatch_after_the_first_is_one_exchange_with_a_worker(monkeypatc
     # the first batch's baseline is its own mean, so its backward waits for
     # every length; each later batch sends its rollouts and backward at once
     sent = []
-    send = parallel.Team.send
-    monkeypatch.setattr(parallel.Team, "send",
-                        lambda team, k, request: sent.append(request[0]) or send(team, k, request))
+    run = parallel.Team.run
+    monkeypatch.setattr(parallel.Team, "run", lambda team, requests, here:
+                        sent.extend(r[0] for r in requests[1:]) or run(team, requests, here))
     routes = small_routes()  # 8 routes: 4 batches of 2 an epoch, all 8 evaluated
     train_general(routes, TrainConfig(epochs=2, hidden_dim=8, seed=2),
                   default_grid_spec(routes), jobs=2)
@@ -266,8 +266,7 @@ def test_a_worker_reply_carries_its_arrays_through_shared_memory(monkeypatch, fo
 
     with parallel.Team(2, replies.__getitem__) as team:
         for k, reply in enumerate(replies):
-            team.send(0, k)
-            back = team.recv(0)
+            _, back = team.run([None, k], lambda _: None)
             assert same(reply, back)
             if k == 0:
                 assert os.fstat(team.buffers[0].fd).st_size > 1 << 20
@@ -472,6 +471,30 @@ def test_infer_zoned_singleton_zone_and_entry_stop(spec, monkeypatch):
     res = infer_zoned(route, ZoneModelSet(zoning=zoning, models={0: params, 1: params}))
     assert encoded == [3]
     assert res.tour[0] == route.start_index and sorted(res.tour) == [0, 1, 2, 3]
+
+
+def test_infer_zoned_breaks_stitching_ties_by_lowest_zone_id_then_stop_index():
+    # offsets of exactly 1/8 degree from an origin of whole degrees project to
+    # coordinates that are exact negatives, so the squared distances tie
+    spec = GridSpec(origin=GeoPoint(34.0, -118.0))
+    zoning = line_zoning(spec, [-118.125, -118.0, -117.875], lat=34.0)  # west, origin, east
+
+    def stitched(coords):
+        pts = [project(GeoPoint(lat, lng), spec) for lat, lng in coords]
+        d2 = [(p.x - pts[0].x) ** 2 + (p.y - pts[0].y) ** 2 for p in pts[1:]]
+        assert d2[0] == d2[1]
+        route = make_route("RT", coords, symmetric_travel([(p.x, p.y) for p in pts]))
+        return stops_by_zone(route, zoning), infer_zoned(route, ZoneModelSet(zoning=zoning)).tour
+
+    # the east zone appears first in the route, yet the west zone, of the
+    # lower id, is as near to the start and comes first
+    by_zone, tour = stitched([(34.0, -118.0), (34.0, -117.875), (34.0, -118.125)])
+    assert by_zone == {1: [0], 2: [1], 0: [2]}
+    assert tour == [0, 2, 1]
+    # both stops of the east zone are as near to the start: the lower index enters
+    by_zone, tour = stitched([(34.0, -118.0), (34.125, -117.875), (33.875, -117.875)])
+    assert by_zone == {1: [0], 2: [1, 2]}
+    assert tour == [0, 1, 2]
 
 
 def test_infer_zoned_nn_fallback_matches_oracle(spec):

@@ -4,7 +4,9 @@ import pytest
 from conftest import make_route, symmetric_travel
 from zoneroute import zoning
 from zoneroute.errors import DomainError
-from zoneroute.hexgrid import GeoPoint, GridSpec, HexCellId, cell_of, centroid, project
+from zoneroute.hexgrid import (GeoPoint, GridSpec, HexCellId, cell_of, centroid, project,
+                               unproject)
+from zoneroute.routegraph import Stop
 from zoneroute.zoning import (
     Zoning,
     clusters_visited,
@@ -12,7 +14,6 @@ from zoneroute.zoning import (
     kmeans,
     load_zoning,
     save_zoning,
-    zone_of_point,
     zone_of_stop,
 )
 
@@ -34,7 +35,6 @@ def test_collect_cells_hand_placement(spec):
     # five hand-picked cells; put one stop at each centroid across 3 routes
     cells = [HexCellId(7, 0, 0), HexCellId(7, 3, 0), HexCellId(7, 0, 3),
              HexCellId(7, -3, 1), HexCellId(7, 2, -4)]
-    from zoneroute.hexgrid import unproject
     latlngs = [(g.lat, g.lng) for g in
                (unproject(centroid(c, spec), spec) for c in cells)]
     routes = [route_at("R1", latlngs[:2]), route_at("R2", latlngs[2:4]),
@@ -117,15 +117,16 @@ def test_zoning_rejects_cells_of_another_resolution(spec):
 def test_zone_of_point_unmapped_cell_falls_back(spec):
     near, far = two_triple_cells(spec)
     z = kmeans(set(near) | set(far), k=2, seed=7, spec=spec, resolution=7)
-    # a point way beyond the far triple still lands in the far zone
+    # a stop way beyond the far triple still lands in the far zone
     c = centroid(HexCellId(7, 60, 0), spec)
-    assert zone_of_point(c.x, c.y, z) == z.cell_to_zone[far[0]]
+    stop = Stop("beyond", unproject(c, spec))
+    assert cell_of(c, 7, spec) not in z.cell_to_zone
+    assert zone_of_stop(stop, z, c) == z.cell_to_zone[far[0]]
 
 
 def test_clusters_visited_straddles_two(spec):
     near, far = two_triple_cells(spec)
     z = kmeans(set(near) | set(far), k=2, seed=7, spec=spec, resolution=7)
-    from zoneroute.hexgrid import unproject
     g1 = unproject(centroid(near[0], spec), spec)
     g2 = unproject(centroid(far[0], spec), spec)
     route = route_at("R", [(g1.lat, g1.lng), (g2.lat, g2.lng)])
