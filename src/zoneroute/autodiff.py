@@ -242,8 +242,8 @@ def log_softmax_grad(g, softmax):
 
 def layer_norm_fwd(x, gain, bias, eps: float = 1e-5):
     """Returns (out, y, inv_std): y is x normalized per row, out = y gain + bias."""
-    xc = x - mean(x, 1)
-    inv_std = 1.0 / np.sqrt(mean(xc ** 2, 1) + eps)
+    xc = x - mean(x, -1)
+    inv_std = 1.0 / np.sqrt(mean(xc ** 2, -1) + eps)
     y = xc * inv_std
     return y * gain + bias, y, inv_std
 

@@ -37,7 +37,7 @@ def _parse_config_file(path, cls):
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc

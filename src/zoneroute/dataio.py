@@ -44,10 +44,11 @@ def data_errors(name):
 
 
 def read_json(path, parse=None):
-    """The JSON value in `path`, passed through `parse` when given; malformed
-    JSON, JSON nested deeper than the decoder recurses, or a fault `parse`
-    meets in the content, is one DataError naming `path`."""
-    with open(path) as fh, data_errors(path):
+    """The JSON value in `path`, read as UTF-8 (RFC 8259) whatever the locale,
+    passed through `parse` when given; malformed JSON, JSON nested deeper
+    than the decoder recurses, or a fault `parse` meets in the content, is
+    one DataError naming `path`."""
+    with open(path, encoding="utf-8") as fh, data_errors(path):
         try:
             payload = json.load(fh)
         except RecursionError as exc:
@@ -57,13 +58,13 @@ def read_json(path, parse=None):
 
 @contextlib.contextmanager
 def _atomic_open(path, **open_kwargs):
-    """A text file open for writing at a temp path beside `path`, renamed over
-    `path` when the block ends, so an interrupted write leaves the previous
-    file as it was.  An OSError opening or renaming the temp file names
-    `path`."""
+    """A UTF-8 text file open for writing at a temp path beside `path`,
+    renamed over `path` when the block ends, so an interrupted write leaves
+    the previous file as it was.  An OSError opening or renaming the temp
+    file names `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", **open_kwargs) as fh:
+        with open(tmp, "w", encoding="utf-8", **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:

@@ -313,17 +313,19 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
 
     The rollout is one tape node: the initial state tanh(mean(E) W_init),
     the pointer keys and every GRU and pointer step, run as `gru_step` and
-    `pointer_step` would on arrays.  Parameters and E take several
+    `pointer_step` would on arrays.  Of its T = n - 1 steps it keeps the GRU
+    states, one (n, 1, d) stack H, and the softmaxes, one (T, n) array; the
+    backward recomputes the gates with one `ad.gru_fwd` on H[:-1] and the
+    queries with one `_branch_fwd` on H[1:], (T, 1, d) rows whose products
+    have the bits of each step's own.  Parameters and E take several
     contributions each, and float addition is not associative, so the
     backward hands them over in the order the per-operation tape did: the
     pointer heads in step order, the key branch (E's first), the GRU from
     the last step back, W_init and the mean into E, then the gathered rows
-    into E.  Only the GRU's recursion runs step by step; everything else
-    works on the T steps stacked, (T, 1, d) rows whose products have the
-    bits of each step's own, and `ad.accumulate_rows` hands each parameter
-    its T contributions, one `accumulate` call each.  The forward
-    likewise takes every node's GRU input products at once, and a sampled
-    rollout draws its n - 1 uniforms from `rng` in one call.
+    into E.  Only the GRU's recursion runs step by step; `ad.accumulate_rows`
+    hands each parameter its T contributions, one `accumulate` call each.
+    The forward takes every node's GRU input products at once, and a
+    sampled rollout draws its T uniforms from `rng` in one call.
     """
     n = E.shape[0]
     tour = [start]
@@ -339,17 +341,18 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     keys, k_saved = _branch_fwd(Ed, k_w)
     # every node's GRU input products at once: (n, 1, d) stacks whose rows
     # have the bits of each (1, d) row's own product
-    x_z, x_r, x_h = (Ed[:, None] @ W for W in (W_z, W_r, W_h))
+    XW = tuple(Ed[:, None] @ W for W in (W_z, W_r, W_h))
     mask = np.ones((1, n), dtype=bool)
     mask[0, start] = False
     uniforms = rng.random(n - 1) if forced is None and not greedy else None
-    h, total, steps = h0, None, []
+    H, softmax = np.empty((n, 1, Ed.shape[1])), np.empty((n - 1, n))
+    H[0], total = h0, None
     for step in range(1, n):
         last = tour[-1]
-        h_next, gru_saved = ad.gru_fwd(h, x_z[last], x_r[last], x_h[last],
-                                       U_z, b_z, U_r, b_r, U_h, b_h)
-        q, q_saved = _branch_fwd(h_next, q_w)
-        logp, softmax = ad.log_softmax_fwd(ad.pointer_fwd(keys, q, v.data), mask)
+        H[step] = ad.gru_fwd(H[step - 1], *(xw[last] for xw in XW),
+                             U_z, b_z, U_r, b_r, U_h, b_h)[0]
+        q = _branch_fwd(H[step], q_w)[0]
+        logp, softmax[step - 1] = ad.log_softmax_fwd(ad.pointer_fwd(keys, q, v.data), mask)
         if not np.isfinite(logp).all():
             raise NumericError("non-finite pointer log-probabilities")
         if forced is not None:
@@ -364,24 +367,22 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
             cdf /= cdf[-1]
             j = int(cdf.searchsorted(uniforms[step - 1], side="right"))
         total = logp[0, j] if total is None else total + logp[0, j]
-        steps.append((h, gru_saved, h_next, q, q_saved, softmax))
-        h = h_next
         mask[0, j] = False
         tour.append(j)
 
     def backward(g):
-        H, gru_saved, H_next, Q, q_saved, SOFTMAX = zip(*steps)
-        T, d = len(steps), Ed.shape[1]
-        g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour, keys, v, Q, SOFTMAX)
-        g_H, factors = _branch_grad(g_Q, _stack(H_next), q_w,
-                                    tuple(_stack(c) for c in zip(*q_saved)))
+        prev = tour[:-1]
+        Q, q_saved = _branch_fwd(H[1:], q_w)
+        g_keys, g_Q = _pointer_heads_grad(g[0, 0], tour, keys, v, Q, softmax)
+        g_H, factors = _branch_grad(g_Q, H[1:], q_w, q_saved)
         for p, (left, right) in zip(q_w, factors):
             ad.accumulate_rows(p, right, left)
         g_E_keys, factors = _branch_grad(g_keys, Ed, k_w, k_saved)
         for p, (left, right) in zip(k_w, factors):
             ad.accumulate(p, ad.weight_grad(left, right))
-        del factors  # the branches' stacks go before the GRU's are built
-        g_h0, g_x = _gru_grad_steps(g_H, H, Ed[tour[:-1], None], gru_saved, gru_w)
+        del Q, q_saved, factors  # the branches' stacks go before the GRU's are built
+        g_h0, g_x = _gru_grad_steps(g_H, H[:-1], Ed[prev, None],
+                                    tuple(xw[prev] for xw in XW), gru_w)
         g_pre = g_h0 * (1.0 - h0 * h0)
         ad.accumulate(W_init, E_mean.T @ g_pre)
         ad.accumulate(E, g_E_keys)
@@ -389,16 +390,11 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
         # each row is gathered once, so one array adds the bits of one
         # gather at a time (0.0 + g into zeros, as the gather did)
         g_rows = np.zeros_like(Ed)
-        g_rows[tour[:-1]] += g_x.reshape(T, d)
+        g_rows[prev] += g_x.reshape(n - 1, -1)
         ad.accumulate(E, g_rows)
 
     params_used = gru_w + q_w + k_w + [v, W_init]
     return tour, ad.record(total, [E] + params_used, backward, name="decoder rollout")
-
-
-def _stack(rows) -> np.ndarray:
-    """A rollout's per-step (1, w) arrays as one (T, 1, w) array."""
-    return np.concatenate(rows)[:, None]
 
 
 def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
@@ -418,9 +414,8 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
         blk = slice(t0, t0 + k)
         g_lp = np.zeros((k, n))
         g_lp[np.arange(k), picks[blk]] = g
-        g_logits = ad.log_softmax_grad(g_lp, np.concatenate(softmax[blk]))
-        g_key_rows, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys,
-                                                    _stack(Q[blk]), v.data)
+        g_logits = ad.log_softmax_grad(g_lp, softmax[blk])
+        g_key_rows, g_Q[blk], g_v = ad.pointer_grad(g_logits[:, None], keys, Q[blk], v.data)
         for g_key in g_key_rows:
             if g_keys is None:
                 g_keys = g_key.copy()
@@ -430,20 +425,22 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
     return g_keys, g_Q
 
 
-def _gru_grad_steps(g_H, H, X, saved, gru_w):
+def _gru_grad_steps(g_H, H, X, XW, gru_w):
     """The GRU's backward through a rollout, g_H[t] being the gradient its
     output at step t gets from the pointer: the recursion runs from the last
     step back, and the nine weights take their per-step gradients in that
-    order.  X holds the (T, 1, d) stacked inputs.  Returns the gradients of
-    the initial state and of those inputs."""
-    W_z, U_z, _, W_r, U_r, _, W_h, U_h, _ = (w.data for w in gru_w)
-    gates = [None] * len(H)
+    order.  H, X and XW stack each step's (1, d) state, input and input
+    products with W_z, W_r and W_h, from which the gates are recomputed.
+    Returns the gradients of the initial state and of those inputs."""
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (w.data for w in gru_w)
+    saved = ad.gru_fwd(H, *XW, U_z, b_z, U_r, b_r, U_h, b_h)[1]
+    g_z, g_r, g_c = gates = tuple(np.empty_like(H) for _ in range(3))
     g_h = None
     for t in reversed(range(len(H))):
         g_t = g_H[t] if g_h is None else g_H[t] + g_h
-        g_h, gates[t] = ad.gru_grad_state(g_t, H[t], saved[t], U_z, U_r, U_h)
-    gates = tuple(_stack(gate) for gate in zip(*gates))
-    back = [a[::-1] for a in (_stack(H), X, _stack([s[2] for s in saved])) + gates]
+        g_h, (g_z[t], g_r[t], g_c[t]) = ad.gru_grad_state(
+            g_t, H[t], [s[t] for s in saved], U_z, U_r, U_h)
+    back = [a[::-1] for a in (H, X, saved[2]) + gates]
     for p, (left, right) in zip(gru_w, ad.gru_weight_factors(*back[:3], back[3:])):
         ad.accumulate_rows(p, right, left)
     return g_h, ad.gru_grad_x(gates, W_z, W_r, W_h)

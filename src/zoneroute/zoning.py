@@ -8,6 +8,7 @@ otherwise by nearest centroid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ import numpy as np
 from .autodiff import make_rng
 from .dataio import read_json, write_json
 from .errors import DomainError, json_float, json_int
-from .hexgrid import (GridSpec, HexCellId, ProjectedPoint, cell_of, centroid,
-                      format_cell_id, parse_cell_id, project)
+from .hexgrid import (EARTH_RADIUS_M, GridSpec, HexCellId, ProjectedPoint, cell_of,
+                      centroid, format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
 
 KMEANS_MAX_ITER = 300
@@ -42,6 +43,12 @@ class Zoning:
         if any(cell.resolution != self.resolution for cell in self.cell_to_zone):
             raise DomainError(f"zoning: a cell's resolution differs from resolution "
                               f"{self.resolution}")
+        # `cell_of` divides projected metres, at most 2 pi R from the origin,
+        # by the edge; a huge finite quotient fails in `HexCellId` instead
+        edge = self.spec.edge_m(self.resolution)
+        if not (0.0 < edge < math.inf and 2 * math.pi * EARTH_RADIUS_M / edge < math.inf):
+            raise DomainError(f"zoning: a cell edge of {edge} m at resolution "
+                              f"{self.resolution} cannot address the grid's cells")
 
 
 def collect_cells(routes: list[Route], resolution: int, spec: GridSpec) -> set[HexCellId]:

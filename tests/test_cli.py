@@ -483,6 +483,13 @@ CONTRACT_PROBES = {
     # arrays nested deeper than the JSON decoder recurses, on any Python
     "routes-nested-arrays": ("routes/route_data.json", nested_arrays, "zones", "routes"),
     "tours-nested-arrays": ("tours.json", nested_arrays, "eval", "tours.json"),
+    # cell edges over which `cell_of` can address no cell: one so small that
+    # a projected coordinate over it overflows, one that is itself infinite
+    "zones-ref-edge-5e-324": ("zones.json", rewritten(lambda d: d["grid"].update(ref_edge_m=5e-324)),
+                              "eval", "zones.json"),
+    "zoned-ckpt-zones-ref-edge-1e308": (
+        "z/zones.json", rewritten(lambda d: d["grid"].update(ref_edge_m=1e308, ref_resolution=15)),
+        "infer-zoned", "z/zones.json"),
 }
 
 
@@ -538,6 +545,28 @@ def test_eval_on_an_overflowing_percentage_error_exits_3_writing_nothing(general
     assert out == "" and err.startswith("numeric error:") and err.count("\n") == 1
     assert str(report) in err
     assert not list(tmp_path.glob("report.json*"))
+
+
+def test_a_utf8_route_file_gives_the_same_tours_under_an_ascii_locale(general_run):
+    # JSON is UTF-8 (RFC 8259); a zone id read in another encoding would hash
+    # to other node features, and so to other tours
+    tmp_path, routes, _, gdir, _ = general_run
+    path = os.path.join(routes, "route_data.json")
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for stop in first_value(payload)["stops"].values():
+        stop["zone_id"] = "Zoné-" + str(stop["zone_id"])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False)
+    src = os.path.dirname(os.path.dirname(zoneroute.__file__))
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    for name, locale in (("default.json", {}), ("ascii.json", ascii_locale)):
+        done = subprocess.run([sys.executable, "-m", "zoneroute.cli", "infer", "--strategy",
+                               "general", "--routes", routes, "--ckpt", gdir,
+                               "--out", str(tmp_path / name)], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src, **locale})
+        assert (done.returncode, done.stderr) == (0, b"")
+    assert read_bytes(tmp_path / "default.json") == read_bytes(tmp_path / "ascii.json")
 
 
 def test_zones_on_a_directory_without_routes_prints_one_line(workspace):

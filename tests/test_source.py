@@ -28,7 +28,7 @@ def test_no_module_imports_a_name_it_never_uses():
               "import os.path\nfrom .x import a, b as c\nnp.zeros(a)\n")
     assert unused_imports(sample) == ["os", "os", "c"]
     # __init__.py imports to re-export
-    found = {path.name: unused_imports(path.read_text())
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
 
@@ -72,8 +72,10 @@ def test_every_function_and_class_is_read_somewhere():
                             + sorted((ROOT / "perfbench").glob("*.py"))
                             + [ROOT / "tests" / "test_acceptance.py",
                                ROOT / "tests" / "tape_reference.py"])]
-    read = set().union(*(read_names(path.read_text(), strings) for path, strings in readers))
-    unread = {path.name: [name for name in defined_names(path.read_text()) if name not in read]
+    read = set().union(*(read_names(path.read_text(encoding="utf-8"), strings)
+                         for path, strings in readers))
+    unread = {path.name: [name for name in defined_names(path.read_text(encoding="utf-8"))
+                          if name not in read]
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unread.items() if names} == {}
 
@@ -94,6 +96,6 @@ def test_only_parallel_starts_processes():
     sample = ("import os\ndef f():\n    from concurrent.futures import Executor\n"
               "    import multiprocessing.pool as mp, json\nfrom . import parallel\n")
     assert process_imports(sample) == ["concurrent.futures", "multiprocessing.pool"]
-    found = {path.name: process_imports(path.read_text())
+    found = {path.name: process_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "parallel.py"}
     assert {name: imported for name, imported in found.items() if imported} == {}
