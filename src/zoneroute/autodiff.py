@@ -259,47 +259,59 @@ def layer_norm_grad(g, gain, y, inv_std):
 _GATV2_SLOPE = 0.2
 
 
-def _gatv2_preact(Hd, Hs, w_edge, edge_t) -> np.ndarray:
-    """LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) as a fresh (n, n, d)
-    array, written in row blocks through one block-sized scratch buffer."""
+def _gatv2_blocks(Hd, Hs, w_edge, edge_t):
+    """Yields (blk, act) for consecutive slices `blk` of target rows, where
+    act is LeakyReLU_0.2(Hd[i] + Hs[j] + edge_t[i, j] w_edge) for i in `blk`
+    and every j.  Each block is written into the same buffer, which the
+    caller may overwrite, so no (n, n, d) array exists; a route of at most
+    `block_rows(8 n d)` stops is one block."""
     n, d = Hd.shape
     rows = block_rows(8 * n * d)
-    act = np.empty((n, n, d))
-    buf = np.empty((min(rows, n), n, d))
+    act_buf, tmp_buf = (np.empty((min(rows, n), n, d)) for _ in range(2))
     for i0 in range(0, n, rows):
-        blk = act[i0:i0 + rows]
-        tmp = buf[:len(blk)]
-        np.add(Hd[i0:i0 + rows, None, :], Hs[None, :, :], out=blk)
-        np.multiply(edge_t[i0:i0 + rows, :, None], w_edge, out=tmp)
-        blk += tmp
-        np.multiply(blk, _GATV2_SLOPE, out=tmp)
-        np.maximum(blk, tmp, out=blk)  # LeakyReLU, as 0 < slope < 1
-    return act
+        blk = slice(i0, min(i0 + rows, n))
+        act, tmp = act_buf[:blk.stop - i0], tmp_buf[:blk.stop - i0]
+        np.add(Hd[blk, None, :], Hs[None, :, :], out=act)
+        np.multiply(edge_t[blk, :, None], w_edge, out=tmp)
+        act += tmp
+        np.multiply(act, _GATV2_SLOPE, out=tmp)
+        np.maximum(act, tmp, out=act)  # LeakyReLU, as 0 < slope < 1
+        yield blk, act
 
 
 def gatv2_fwd(Hd, Hs, W_edge, attn, edge_t):
-    """The (n, n) GATv2 pair scores; the pre-activation is dropped."""
+    """The (n, n) GATv2 pair scores, a block of target rows at a time."""
     n, d = Hd.shape
-    return (_gatv2_preact(Hd, Hs, W_edge[0], edge_t).reshape(n * n, d) @ attn).reshape(n, n)
+    out = np.empty((n, n))
+    for blk, act in _gatv2_blocks(Hd, Hs, W_edge[0], edge_t):
+        k = len(act)
+        out[blk] = (act.reshape(k * n, d) @ attn).reshape(k, n)
+    return out
 
 
 def gatv2_grad(g, Hd, Hs, W_edge, attn, edge_t):
     """Returns the gradients of (Hd, Hs, W_edge, attn), recomputing the
-    pre-activation; one n x n x d buffer holds it and then its gradient."""
+    pre-activation a block of target rows at a time.  The rows of the Hd
+    gradient are each block's own; the sums over pairs that make the other
+    three are added block by block, in row order."""
     n, d = Hd.shape
     slope = _GATV2_SLOPE
-    act = _gatv2_preact(Hd, Hs, W_edge[0], edge_t)
-    g_attn = (g.reshape(1, n * n) @ act.reshape(n * n, d)).T
-    # act > 0 exactly where the pre-activation is, so act alone suffices;
-    # the comparison is written as 1.0/0.0 into act itself, with no
-    # n x n x d boolean array
     a = attn[:, 0]
-    gpre = np.greater(act, 0.0, out=act)
-    gpre *= (1.0 - slope) * a
-    gpre += slope * a
-    gpre *= g[:, :, None]
-    return (gpre.sum(axis=1), gpre.sum(axis=0),
-            edge_t.reshape(1, n * n) @ gpre.reshape(n * n, d), g_attn)
+    g_Hd = np.empty((n, d))
+    sums = None
+    for blk, act in _gatv2_blocks(Hd, Hs, W_edge[0], edge_t):
+        k = len(act)
+        g_attn = (g[blk].reshape(1, k * n) @ act.reshape(k * n, d)).T
+        # act > 0 exactly where the pre-activation is, so act alone
+        # suffices; the comparison is written as 1.0/0.0 into act itself
+        gpre = np.greater(act, 0.0, out=act)
+        gpre *= (1.0 - slope) * a
+        gpre += slope * a
+        gpre *= g[blk, :, None]
+        gpre.sum(axis=1, out=g_Hd[blk])
+        part = (gpre.sum(axis=0), edge_t[blk].reshape(1, k * n) @ gpre.reshape(k * n, d), g_attn)
+        sums = part if sums is None else [total + p for total, p in zip(sums, part)]
+    return (g_Hd, *sums)
 
 
 def gru_fwd(h, xz, xr, xh, U_z, b_z, U_r, b_r, U_h, b_h):

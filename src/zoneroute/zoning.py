@@ -16,8 +16,8 @@ import numpy as np
 from .autodiff import make_rng
 from .dataio import read_json, write_json
 from .errors import DomainError, json_float, json_int
-from .hexgrid import (EARTH_RADIUS_M, GridSpec, HexCellId, ProjectedPoint, cell_of,
-                      centroid, format_cell_id, parse_cell_id, project)
+from .hexgrid import (_COORD_LIMIT, EARTH_RADIUS_M, GridSpec, HexCellId, ProjectedPoint,
+                      cell_of, centroid, format_cell_id, parse_cell_id, project)
 from .routegraph import Route, Stop
 
 KMEANS_MAX_ITER = 300
@@ -44,9 +44,10 @@ class Zoning:
             raise DomainError(f"zoning: a cell's resolution differs from resolution "
                               f"{self.resolution}")
         # `cell_of` divides projected metres, at most 2 pi R from the origin,
-        # by the edge; a huge finite quotient fails in `HexCellId` instead
+        # by the edge, and its |q| and |r| stay below 3/4 of that quotient
+        # plus one; below `_COORD_LIMIT`, every stop has an addressable cell
         edge = self.spec.edge_m(self.resolution)
-        if not (0.0 < edge < math.inf and 2 * math.pi * EARTH_RADIUS_M / edge < math.inf):
+        if not (0.0 < edge < math.inf and 2 * math.pi * EARTH_RADIUS_M / edge < _COORD_LIMIT):
             raise DomainError(f"zoning: a cell edge of {edge} m at resolution "
                               f"{self.resolution} cannot address the grid's cells")
 

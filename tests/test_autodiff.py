@@ -124,25 +124,71 @@ def _gatv2_single_pass(Hd, Hs, w_edge, attn, edge_t, g):
             (g.reshape(1, n * n) @ act.reshape(n * n, d)).T]
 
 
-@pytest.mark.parametrize("n, d, block_bytes", [
-    (1, 4, None), (2, 4, None), (3, 5, None),
-    (7, 3, 1),                   # one row per block
-    (7, 3, 2 * 8 * 7 * 3),       # blocks of 2, 2, 2 and 1 rows
-    (40, 64, None),              # blocks of 12, 12, 12 and 4 rows at the default budget
+@pytest.mark.parametrize("n, d, block_bytes, blocks", [
+    (1, 4, None, 1), (2, 4, None, 1), (3, 5, None, 1),
+    (22, 64, None, 1),              # the longest route that is one block at the default budget
+    (7, 3, 1, 7),                   # one row per block
+    (7, 3, 2 * 8 * 7 * 3, 4),       # blocks of 2, 2, 2 and 1 rows
+    (40, 64, None, 4),              # blocks of 12, 12, 12 and 4 rows at the default budget
 ])
-def test_blocked_gatv2_scores_are_bit_identical_to_one_pass(monkeypatch, n, d, block_bytes):
+def test_gatv2_kernels_keep_one_pass_bits_in_one_block_and_agree_across_blocks(
+        monkeypatch, n, d, block_bytes, blocks):
     if block_bytes is not None:
         monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", block_bytes)
+    assert -(-n // ad.block_rows(8 * n * d)) == blocks
     Hd, Hs = rand((n, d), 60), rand((n, d), 61)
     W_edge, attn = rand((1, d), 62), rand((d, 1), 63)
     # a transposed view, as the encoder passes it
     edge_t = make_rng(64).uniform(0, 1, (n, n)).T
     g = make_rng(65).standard_normal((n, n))
-    out = tape_reference.gatv2_scores(Hd, Hs, W_edge, attn, edge_t)
-    grads = backward(ad.tsum(ad.mul(out, Tensor(g))), [Hd, Hs, W_edge, attn])
+
+    def scores_and_grads():
+        out = tape_reference.gatv2_scores(Hd, Hs, W_edge, attn, edge_t)
+        return [out.data] + backward(ad.tsum(ad.mul(out, Tensor(g))), [Hd, Hs, W_edge, attn])
+
+    got = scores_and_grads()
     expected = _gatv2_single_pass(Hd.data, Hs.data, W_edge.data, attn.data, edge_t, g)
-    for got, want in zip([out.data] + grads, expected):
-        assert got.tobytes() == want.tobytes()
+    if blocks == 1:
+        for x, want in zip(got, expected):
+            assert x.tobytes() == want.tobytes()
+        return
+    # the sums over the n^2 pairs are added block by block, so they keep
+    # the one-pass values up to rounding, and their own bits from call to call
+    for x, want in zip(got, expected):
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    for x, again in zip(got, scores_and_grads()):
+        assert x.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("n, d, block_bytes", [
+    (7, 3, 1),                   # one row per block
+    (7, 3, 2 * 8 * 7 * 3),       # blocks of 2, 2, 2 and 1 rows
+])
+def test_blocked_gatv2_scores_are_bit_identical_to_one_pass(monkeypatch, n, d, block_bytes):
+    # each score and each row of the Hd gradient belongs to one target row,
+    # so splitting the rows into blocks leaves their bits as in one pass
+    monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", block_bytes)
+    assert ad.block_rows(8 * n * d) < n
+    Hd, Hs = rand((n, d), 60), rand((n, d), 61)
+    W_edge, attn = rand((1, d), 62), rand((d, 1), 63)
+    edge_t = make_rng(64).uniform(0, 1, (n, n)).T
+    g = make_rng(65).standard_normal((n, n))
+    out = tape_reference.gatv2_scores(Hd, Hs, W_edge, attn, edge_t)
+    g_Hd = backward(ad.tsum(ad.mul(out, Tensor(g))), [Hd])[0]
+    expected = _gatv2_single_pass(Hd.data, Hs.data, W_edge.data, attn.data, edge_t, g)
+    assert out.data.tobytes() == expected[0].tobytes()
+    assert g_Hd.tobytes() == expected[1].tobytes()
+
+
+def test_gatv2_scores_grad_in_one_row_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", 1)
+    n, d = 5, 3
+    Hd, Hs = rand((n, d), 66), rand((n, d), 67)
+    W_edge, attn = rand((1, d), 68), rand((d, 1), 69)
+    edge_t = make_rng(74).uniform(0, 1, (n, n)).T
+    weights = Tensor(make_rng(75).standard_normal((n, n)))
+    check(lambda: ad.tsum(ad.mul(tape_reference.gatv2_scores(Hd, Hs, W_edge, attn, edge_t), weights)),
+          [Hd, Hs, W_edge, attn])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40])

@@ -490,6 +490,12 @@ CONTRACT_PROBES = {
     "zoned-ckpt-zones-ref-edge-1e308": (
         "z/zones.json", rewritten(lambda d: d["grid"].update(ref_edge_m=1e308, ref_resolution=15)),
         "infer-zoned", "z/zones.json"),
+    # finite edges so small that a cell's axial coordinates overflow their field
+    "zones-ref-edge-1e-300": ("zones.json", rewritten(lambda d: d["grid"].update(ref_edge_m=1e-300)),
+                              "eval", "zones.json"),
+    "zoned-ckpt-zones-ref-edge-1e-10": (
+        "z/zones.json", rewritten(lambda d: d["grid"].update(ref_edge_m=1e-10)),
+        "infer-zoned", "z/zones.json"),
 }
 
 

@@ -230,6 +230,37 @@ def test_training_tape_keeps_no_pair_sized_array():
     assert decoded < 2 * pair_bytes
 
 
+def _traced_peak(run):
+    """Peak bytes that tracemalloc sees `run()` allocate above what it keeps
+    at the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_pass_at_paper_size_holds_a_pair_sized_array():
+    # the GATv2 kernels stream the (n, n, d) pre-activation a block of target
+    # rows at a time, in the forward and again in the backward
+    route, g = tiny_graph(n=151, seed=3)
+    params = ModelParams.init(ModelConfig(hidden_dim=64, dropout=0.1), seed=0)
+    pair_bytes = g.n * g.n * 64 * 8
+
+    def training_pass():
+        rng = make_rng(5)
+        E = encode(g, params, training=True, rng=rng)
+        logp = decode_tape(E, route.start_index, params, greedy=False, rng=rng)[1]
+        ad.backward(logp)
+
+    assert g.n == 151
+    assert _traced_peak(training_pass) < 3 / 4 * pair_bytes
+    assert params["gat1.W_edge"].grad is not None
+    assert _traced_peak(lambda: encode(g, params, training=False)) < pair_bytes / 2
+
+
 def test_rollout_backward_keeps_no_step_stacked_pair_array():
     # the backward stacks a rollout's steps, but the pointer heads' (T, n, d)
     # gradient only in row blocks of about ad._GATV2_BLOCK_BYTES
