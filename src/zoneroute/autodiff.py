@@ -8,15 +8,14 @@ GRU update) and `pointer_logits` (the additive-attention pointer head,
 whose backward recomputes its tanh).  The math of these, of the nonlinear
 primitives and of the GATv2 pair scores lives in plain-array kernels
 (`*_fwd` and `*_grad`), which `record` and `accumulate` let a caller build
-into bigger nodes of its own; `accumulate_rows` makes one `accumulate`
-call per row of a stack of contributions, and a `Recorder` takes chosen
-tensors' contributions instead, for `replay` to hand them over later, maybe
-in another process.  Every primitive is its forward value plus a function
-returning its inputs' gradients, made a node by `_node`, which hands them
-over in input order, or by `_unary` when it has one input; `backward` walks
-the implicit tape in reverse topological order.  A finite-difference
-gradient checker and an Adam step with global gradient-norm clipping, over
-one flat buffer that holds every parameter, round the module out.
+into bigger nodes of its own; `accumulate_rows` adds a stack of
+contributions as one product.  Every primitive is its forward value plus a
+function returning its inputs' gradients, made a node by `_node`, which
+hands them over in input order, or by `_unary` when it has one input;
+`backward` walks the implicit tape in reverse topological order.  A
+finite-difference gradient checker and an Adam step with global
+gradient-norm clipping, over one flat buffer that holds every parameter,
+round the module out.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def make_rng(seed: int) -> np.random.Generator:
 class Tensor:
     """A 2-D float64 array node on the implicit tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "recorder")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=""):
         arr = np.asarray(data, dtype=np.float64)
@@ -58,7 +57,6 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = backward
         self.name = name
-        self.recorder = None  # a `Recorder` that takes its contributions
 
     @property
     def shape(self):
@@ -90,46 +88,9 @@ def record(data, parents, backward, name=""):
     return Tensor(data, name=name)
 
 
-class Recorder:
-    """A context manager that stands in for the `.grad` of a fixed list of
-    tensors: within it, `accumulate_rows` on one of them appends (its index,
-    right, left) to `calls` instead of adding anything, `accumulate` a stack
-    of its one row, each array a C-ordered copy (it may be a view of another
-    node's gradient).  `replay` makes the same calls later, on the same
-    tensors or on their twins in another process."""
-
-    def __init__(self, tensors):
-        self.tensors = list(tensors)
-        self.index = {id(t): k for k, t in enumerate(self.tensors)}
-        self.calls = []
-
-    def __enter__(self):
-        for t in self.tensors:
-            t.recorder = self
-        return self
-
-    def __exit__(self, *exc):
-        for t in self.tensors:
-            t.recorder = None
-
-    def take(self, t: Tensor, right, left) -> None:
-        self.calls.append((self.index[id(t)], np.array(right, order="C"),
-                           None if left is None else np.array(left, order="C")))
-
-
-def replay(tensors, calls):
-    """Make the recorded `calls` on `tensors`, in order: each gradient gets
-    the bits it would have got had they been made where they were recorded."""
-    for k, right, left in calls:
-        accumulate_rows(tensors[k], right, left)
-
-
 def accumulate(t: Tensor, g: np.ndarray):
     """Add `g` to `t.grad`.  Float addition is not associative, so the bits
     of a gradient depend on the order of these calls."""
-    if t.recorder is not None:
-        t.recorder.take(t, g[None], None)
-        return
     # the first write copies: g may be a view of another node's gradient
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -138,8 +99,8 @@ def accumulate(t: Tensor, g: np.ndarray):
 
 
 # bytes of one block of stacked rows (the GATv2 pre-activation's, or a
-# rollout's per-step gradients): small enough that a block's elementwise
-# passes stay in cache
+# rollout's pointer heads): small enough that a block's elementwise passes
+# stay in cache
 _GATV2_BLOCK_BYTES = 256 * 1024
 
 
@@ -149,27 +110,13 @@ def block_rows(row_bytes: int) -> int:
 
 
 def accumulate_rows(t: Tensor, right, left=None):
-    """`accumulate(t, c_i)` for i = 0, 1, ... in turn.  c_i is right[i] in
-    t's shape, or with `left` the weight gradient `weight_grad(left[i],
-    right[i])` of one row each, an exact outer product; those are formed a
-    block of rows at a time."""
-    if t.recorder is not None:
-        t.recorder.take(t, right, left)
-        return
-    shape = t.data.shape
+    """One `accumulate` of the sum of T contributions, each one product of a
+    stack: with `left`, weight_grad(left[i], right[i]), summed as the one
+    product left.T @ right of the (T, ·) stacks; else right[i] in t's shape,
+    summed as the column sums of `right`."""
     steps = len(right)
-    if left is None:
-        for row in right.reshape(steps, *shape):
-            accumulate(t, row)
-        return
-    left, right = left.reshape(steps, -1), right.reshape(steps, -1)
-    rows = block_rows(8 * t.data.size)
-    blk = np.empty((min(rows, steps), *shape))
-    for i0 in range(0, steps, rows):
-        k = min(rows, steps - i0)
-        np.einsum("ti,tj->tij", left[i0:i0 + k], right[i0:i0 + k], out=blk[:k])
-        for row in blk[:k]:
-            accumulate(t, row)
+    left = None if left is None else left.reshape(steps, -1)
+    accumulate(t, weight_grad(left, right.reshape(steps, -1)).reshape(t.data.shape))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -668,8 +615,9 @@ class AdamState:
 
     Building it packs the parameters into one contiguous float64 buffer and
     makes each `p.data` a view of it, so that `adam_step` updates them all
-    with a few whole-buffer numpy calls.  The moments, the gradient copy and
-    one scratch array are buffers of the same size, kept from step to step:
+    with a few whole-buffer numpy calls.  The moments, the flat gradient
+    (`grad`, which a caller may fill in place) and one scratch array are
+    buffers of the same size, kept from step to step:
     a fresh array that big would be a fresh memory mapping every step.
     The parameters' buffer is an anonymous shared mapping, so processes
     forked afterwards see every step."""
@@ -702,27 +650,25 @@ def global_norm(grads) -> float:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(params, grads, state: AdamState, lr: float, max_grad_norm: float = 1.0):
+def adam_step(params, grad, state: AdamState, lr: float, max_grad_norm: float = 1.0):
     """One Adam update with bias correction; clips global grad norm first.
 
     `params` must be the tensors `state` was built over, in its order, their
-    data still its views.  Every operation keeps the operands and the order
-    of the same update written per parameter, so each parameter gets the
-    same bits."""
+    data still its views.  `grad` is their gradient, flat in the same layout:
+    `state.grad` itself, which the step overwrites, or an array copied there.
+    Every operation keeps the operands and the order of the same update
+    written per parameter, so each parameter gets the same bits."""
     if len(params) != len(state.params) or any(
             p is not q or p.data is not view
             for p, q, view in zip(params, state.params, state.views)):
         raise DomainError("adam_step: params are not the tensors its AdamState was built over")
-    if len(grads) != len(params):
-        raise DomainError("adam_step: grads/params length mismatch")
-    for p, g in zip(params, grads):
-        if g.shape != p.data.shape:
-            raise DomainError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
     g, tmp, m, v = state.grad, state.scratch, state.m, state.v
-    if grads:
-        np.concatenate([x.reshape(-1) for x in grads], out=g)
+    if grad.shape != g.shape:
+        raise DomainError(f"adam_step: grad shape {grad.shape} != the parameters' flat {g.shape}")
+    if grad is not g:
+        g[...] = grad
     if max_grad_norm > 0:
-        total = global_norm(grads)
+        total = global_norm(np.split(g, np.cumsum([x.size for x in state.views[:-1]])))
         if total > max_grad_norm:
             g *= max_grad_norm / total
     state.step += 1

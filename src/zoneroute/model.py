@@ -9,9 +9,10 @@ two FC layers with a ReLU in between, layer-normalized before the tanh.
 Training uses REINFORCE with a moving-average baseline.
 
 On the autodiff tape, `encode` and each decoder rollout are one node apiece,
-computed with `autodiff`'s plain-array kernels.  Their backwards give every
-gradient the bits a one-node-per-operation composition of tape primitives
-gives it.
+computed with `autodiff`'s plain-array kernels.  Their backwards agree with
+a one-node-per-operation composition of tape primitives to float rounding:
+E and the encoder's parameters get its bits, and a decoder weight used at
+every step sums its per-step contributions as one product.
 """
 
 from __future__ import annotations
@@ -317,13 +318,12 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
     states, one (n, 1, d) stack H, and the softmaxes, one (T, n) array; the
     backward recomputes the gates with one `ad.gru_fwd` on H[:-1] and the
     queries with one `_branch_fwd` on H[1:], (T, 1, d) rows whose products
-    have the bits of each step's own.  Parameters and E take several
-    contributions each, and float addition is not associative, so the
-    backward hands them over in the order the per-operation tape did: the
-    pointer heads in step order, the key branch (E's first), the GRU from
-    the last step back, W_init and the mean into E, then the gathered rows
-    into E.  Only the GRU's recursion runs step by step; `ad.accumulate_rows`
-    hands each parameter its T contributions, one `accumulate` call each.
+    have the bits of each step's own.  E takes several contributions, and
+    float addition is not associative, so the backward hands them over in
+    the order the per-operation tape did: the key branch, W_init and the
+    mean, then the gathered rows.  A weight used at every step takes its T
+    contributions as one product of their stacks (`ad.accumulate_rows`).
+    Only the GRU's recursion runs step by step.
     The forward takes every node's GRU input products at once, and a
     sampled rollout draws its T uniforms from `rng` in one call.
     """
@@ -400,11 +400,11 @@ def _run_decoder(E: Tensor, start: int, params: ModelParams, forced=None,
 def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
     """The backward of every step's pointer head and log-softmax, for the
     output gradient g of each picked log-probability: hands ptr.v its
-    per-step gradients in step order and returns the keys' gradient, summed
-    in step order, and the (T, 1, d) query gradients.  Each step's
-    log-probability gradient is 0.0 but at its pick, which its mask never
-    hides, so no mask is needed.  Steps go in blocks whose (k, n, d) arrays
-    hold about `ad._GATV2_BLOCK_BYTES` each."""
+    gradient, one product per block of steps, and returns the keys'
+    gradient, summed in step order, and the (T, 1, d) query gradients.
+    Each step's log-probability gradient is 0.0 but at its pick, which its
+    mask never hides, so no mask is needed.  Steps go in blocks whose
+    (k, n, d) arrays hold about `ad._GATV2_BLOCK_BYTES` each."""
     picks = tour[1:]
     T, (n, d) = len(picks), keys.shape
     rows = ad.block_rows(8 * n * d)
@@ -428,8 +428,8 @@ def _pointer_heads_grad(g, tour, keys, v, Q, softmax):
 def _gru_grad_steps(g_H, H, X, XW, gru_w):
     """The GRU's backward through a rollout, g_H[t] being the gradient its
     output at step t gets from the pointer: the recursion runs from the last
-    step back, and the nine weights take their per-step gradients in that
-    order.  H, X and XW stack each step's (1, d) state, input and input
+    step back, and each of the nine weights takes its per-step gradients as
+    one product.  H, X and XW stack each step's (1, d) state, input and input
     products with W_z, W_r and W_h, from which the gates are recomputed.
     Returns the gradients of the initial state and of those inputs."""
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (w.data for w in gru_w)
@@ -440,8 +440,7 @@ def _gru_grad_steps(g_H, H, X, XW, gru_w):
         g_t = g_H[t] if g_h is None else g_H[t] + g_h
         g_h, (g_z[t], g_r[t], g_c[t]) = ad.gru_grad_state(
             g_t, H[t], [s[t] for s in saved], U_z, U_r, U_h)
-    back = [a[::-1] for a in (H, X, saved[2]) + gates]
-    for p, (left, right) in zip(gru_w, ad.gru_weight_factors(*back[:3], back[3:])):
+    for p, (left, right) in zip(gru_w, ad.gru_weight_factors(H, X, saved[2], gates)):
         ad.accumulate_rows(p, right, left)
     return g_h, ad.gru_grad_x(gates, W_z, W_r, W_h)
 

@@ -49,6 +49,8 @@ class TrainConfig:
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if not self.max_grad_norm >= 0.0:
             raise DomainError(f"max_grad_norm {self.max_grad_norm} is not >= 0 (0: no clipping)")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         self.model_config()  # checks hidden_dim and dropout
 
     def model_config(self) -> ModelConfig:
@@ -110,7 +112,7 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
     baseline = None
     log_rows = []
 
-    with parallel.Team(min(jobs, cfg.batch_size, n_train), share.serve) as team:
+    with parallel.Team(min(jobs, cfg.batch_size, n_train), share.run) as team:
         for epoch in range(1, cfg.epochs + 1):
             order = np.arange(n_train)
             rng.shuffle(order)
@@ -120,7 +122,8 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
                 lengths, baseline = _train_batch(batch, share, team, state, baseline,
                                                  cfg, rng, random_starts)
                 sampled_lengths.extend(lengths)
-            greedy_lengths = _in_chunks(team, share, "greedy_lengths", list(eval_positions))
+            greedy_lengths = [x for part in _in_chunks(team, share, "greedy_lengths",
+                                                       list(eval_positions)) for x in part]
             log_rows.append((epoch, float(np.mean(sampled_lengths)),
                              float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
@@ -135,46 +138,49 @@ class _Share:
     def __init__(self, routes, graphs, params: ModelParams, samples: int):
         self.routes, self.graphs, self.params, self.samples = routes, graphs, params, samples
         self.rng = make_rng(0)  # each route restores its own snapshot
-        self.log_probs, self.lengths = [], []
+        self.log_probs, self.lengths = [], []  # one list per route
 
-    def backward(self, items, baseline: float, rollouts: int) -> list:
-        """The backward of the last `rollouts(items, ...)` call's share of the
-        REINFORCE loss of a batch of `rollouts` rollouts; frees their tape."""
-        loss = reinforce_loss(self.log_probs, self.lengths, baseline, rollouts)
+    def backward(self, items, baseline: float, rollouts: int) -> np.ndarray:
+        """The gradient rows of the routes of the last `rollouts(items, ...)`
+        call: row b holds every parameter's gradient, in `ModelParams.names()`
+        order, from the backward of route b's share of the REINFORCE loss of a
+        batch of `rollouts` rollouts.  Frees their tapes."""
+        plist = self.params.as_list()
+        rows = np.empty((len(items), sum(p.data.size for p in plist)))
+        for row, log_probs, lengths in zip(rows, self.log_probs, self.lengths):
+            ad.backward(reinforce_loss(log_probs, lengths, baseline, rollouts))
+            start = 0
+            for p in plist:  # a parameter off the route's tape has no gradient
+                end = start + p.data.size
+                row[start:end] = 0.0 if p.grad is None else p.grad.reshape(-1)
+                p.grad, start = None, end
         self.log_probs = []
-        ad.backward(loss)
-        return []
+        return rows
 
-    def rollouts(self, items, baseline, rollouts: int) -> list[float]:
+    def rollouts(self, items, baseline, rollouts: int):
         """Sampled rollouts of (position, start, rng state) items, each route
-        drawing from a Generator in its state, followed by their `backward`
-        unless the baseline is still None; returns their tour lengths."""
+        drawing from a Generator in its state.  Returns their tour lengths and,
+        unless the baseline is still None, their `backward`'s rows."""
         self.log_probs, self.lengths = [], []
         for i, start, rng_state in items:
             self.rng.bit_generator.state = rng_state
             E = encode(self.graphs[i], self.params, training=True, rng=self.rng)
+            self.log_probs.append([])
+            self.lengths.append([])
             for _ in range(self.samples):
                 tour, logp = decode_tape(E, start, self.params, greedy=False, rng=self.rng)
-                self.log_probs.append(logp)
-                self.lengths.append(tour_length(tour, self.routes[i].travel))
-        if baseline is not None:
-            self.backward(items, baseline, rollouts)
-        return self.lengths
+                self.log_probs[-1].append(logp)
+                self.lengths[-1].append(tour_length(tour, self.routes[i].travel))
+        lengths = [x for route in self.lengths for x in route]
+        return lengths, None if baseline is None else self.backward(items, baseline, rollouts)
 
     def greedy_lengths(self, positions) -> list[float]:
         return [_greedy(self.graphs[i], self.routes[i], self.params).length for i in positions]
 
     def run(self, request):
-        """This process's answer to (method name, *args): the method's result."""
+        """The answer to (method name, *args): the method's result."""
         op, *args = request
         return getattr(self, op)(*args)
-
-    def serve(self, request):
-        """A worker's answer to `request`: `run`'s, and the calls for `ad.replay`
-        that a backward made on the parameters, recorded instead of added."""
-        with ad.Recorder(self.params.as_list()) as recorder:
-            out = self.run(request)
-        return out, recorder.calls
 
 
 def _split(items, parts: int) -> list:
@@ -188,15 +194,10 @@ def _split(items, parts: int) -> list:
 
 def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args) -> list:
     """`share.op(chunk, *args)` over `items` cut into chunks: this process
-    runs the first, worker k the (k + 1)-th.  The gradient calls each worker
-    recorded are replayed here chunk after chunk, after this process's own
-    work.  Returns the results joined in item order."""
+    runs the first, worker k the (k + 1)-th.  Returns the answers in chunk
+    order; a worker's arrays are views valid until its next reply."""
     chunks = _split(items, team.size + 1)
-    here, *there = team.run([(op, chunk, *args) for chunk in chunks], share.run)
-    plist = share.params.as_list()
-    for _, calls in there:
-        ad.replay(plist, calls)
-    return list(here) + [x for part, _ in there for x in part]
+    return team.run([(op, chunk, *args) for chunk in chunks], share.run)
 
 
 def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg, rng,
@@ -211,13 +212,13 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
     pass takes (`training_draws`); the route runs on a Generator in the copied
     state, wherever it runs.  `_in_chunks` cuts the batch into contiguous
     chunks of routes, the first for this process and the others for the
-    workers.  Each process runs its chunk's rollouts and their share of the
-    loss's backward, in one request; only the first batch, whose baseline is
-    its own mean, asks for the backward in a second request.  `_in_chunks`
-    replays the workers' gradients here chunk after chunk, the order in which
-    the whole batch's one backward hands them over: its reversed topological
-    order takes the routes one at a time, the samples of a route together,
-    and no parameter serves both the encoder and the decoder."""
+    workers.  Each process runs its chunk's rollouts and the backward of each
+    route's share of the loss, in one request; only the first batch, whose
+    baseline is its own mean, asks for the backward in a second request.
+    Each route's backward gives one gradient row, which depends on nothing
+    but the route, its rng state and the parameters; the rows are added in
+    batch order into the flat gradient that Adam takes, so any number of
+    processes gives the same bits."""
     routes, config = share.routes, share.params.config
     items = []
     for i in batch:
@@ -226,16 +227,20 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
         items.append((i, start, rng.bit_generator.state))
         rng.random(training_draws(route.n, config, cfg.samples_per_route))
     rollouts = len(items) * cfg.samples_per_route
-    lengths = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
+    answers = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
+    lengths = [x for part, _ in answers for x in part]
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-        _in_chunks(team, share, "backward", items, baseline, rollouts)
-    plist = share.params.as_list()
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in plist]
-    ad.adam_step(plist, grads, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
-    for p in plist:
-        p.grad = None
+        chunk_rows = _in_chunks(team, share, "backward", items, baseline, rollouts)
+    else:
+        chunk_rows = [rows for _, rows in answers]
+    grad = state.grad
+    grad.fill(0.0)
+    for rows in chunk_rows:
+        for row in rows:
+            grad += row
+    ad.adam_step(share.params.as_list(), grad, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     return lengths, cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * batch_mean
 
 

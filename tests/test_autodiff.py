@@ -222,6 +222,9 @@ def _spread(shape, seed):
 @pytest.mark.parametrize("outer", [False, True])
 def test_accumulate_rows_has_the_bits_of_one_accumulate_per_row(
         monkeypatch, shape, steps, block_rows, prior, outer):
+    # accumulate_rows is one accumulate of one product, left.T @ right or
+    # the column sums, whatever the block size, and agrees with one
+    # accumulate per row to rounding
     if block_rows is not None:
         monkeypatch.setattr(ad, "_GATV2_BLOCK_BYTES", block_rows * 8 * shape[0] * shape[1])
     a, b = shape
@@ -229,28 +232,32 @@ def test_accumulate_rows_has_the_bits_of_one_accumulate_per_row(
         left, right = _spread((steps, 1, a), 80), _spread((steps, 1, b), 81)
     else:
         left, right = None, _spread((steps,) + shape, 81)
-    _assert_rows_add_as_accumulates(shape, right, left, _spread(shape, 82) if prior else None)
+    _assert_rows_add_as_one_accumulate(shape, right, left, _spread(shape, 82) if prior else None)
     if not prior:
-        # every contribution's first row is -0.0 (with `left`, its factor
-        # is): one accumulate per row keeps the sign of a zero sum, which a
-        # sum started from +0.0 loses
+        # every contribution's first row is -0.0 (with `left`, its factor is)
         if outer:
             left[:, 0, 0] = -0.0
         else:
             right[:, 0] = -0.0
-        _assert_rows_add_as_accumulates(shape, right, left, None)
+        _assert_rows_add_as_one_accumulate(shape, right, left, None)
 
 
-def _assert_rows_add_as_accumulates(shape, right, left, prior):
-    contributions = list(right) if left is None else [x.T @ y for x, y in zip(left, right)]
-    fast, slow = (Tensor(np.zeros(shape), requires_grad=True) for _ in range(2))
+def _assert_rows_add_as_one_accumulate(shape, right, left, prior):
+    steps = len(right)
+    rows = right.reshape(steps, -1)
+    if left is None:
+        total, per_row = rows.sum(axis=0), list(right)
+    else:
+        total, per_row = left.reshape(steps, -1).T @ rows, [x.T @ y for x, y in zip(left, right)]
+    fast, one, slow = (Tensor(np.zeros(shape), requires_grad=True) for _ in range(3))
     if prior is not None:
-        fast.grad = prior
-        slow.grad = prior.copy()
-    for c in contributions:
-        ad.accumulate(slow, c)
+        fast.grad, one.grad, slow.grad = prior, prior.copy(), prior.copy()
     ad.accumulate_rows(fast, right, left)
-    assert fast.grad.tobytes() == slow.grad.tobytes()
+    ad.accumulate(one, total.reshape(shape))
+    for c in per_row:
+        ad.accumulate(slow, c)
+    assert fast.grad.tobytes() == one.grad.tobytes()
+    assert np.abs(fast.grad - slow.grad).max() <= 1e-12 * np.abs(slow.grad).max()
 
 
 @pytest.mark.parametrize("steps, n", [(1, 5), (6, 5), (6, 40)])
@@ -264,46 +271,6 @@ def test_stacked_pointer_grad_has_each_steps_bits(steps, n):
     for t in range(steps):
         for got, want in zip(stacked, ad.pointer_grad(g[t], keys, q[t], v)):
             assert got[t].tobytes() == want.tobytes()
-
-
-def _contribute(tensors, seed):
-    """accumulate and accumulate_rows calls of every kind on three tensors;
-    each array passed is overwritten after the call."""
-    a, b, c = tensors
-    calls = [(ad.accumulate, a, ((4, 4),)), (ad.accumulate_rows, a, ((5, 1, 4), (5, 1, 4))),
-             (ad.accumulate_rows, b, ((6, 1, 4),)), (ad.accumulate, c, ((3, 2),)),
-             (ad.accumulate, b, ((1, 4),)), (ad.accumulate_rows, c, ((2, 3, 2),))]
-    for k, (call, t, shapes) in enumerate(calls):
-        arrays = [_spread(shape, seed + 10 * k + i) for i, shape in enumerate(shapes)]
-        call(t, *arrays[::-1])  # accumulate_rows takes (right, left)
-        for x in arrays:
-            x[...] = np.nan
-
-
-def test_recorded_contributions_replay_with_the_bits_of_the_calls():
-    # contributions to two of three tensors are recorded instead of added,
-    # then replayed onto twins holding the same prior gradient: the twins
-    # end with the bits the calls give when made directly
-    shapes = [(4, 4), (1, 4), (3, 2)]
-    direct, recorded, twins = ([Tensor(np.zeros(s), requires_grad=True) for s in shapes]
-                               for _ in range(3))
-    for k, shape in enumerate(shapes):
-        direct[k].grad, twins[k].grad = _spread(shape, 90 + k), _spread(shape, 90 + k)
-    _contribute(direct, 100)
-    with ad.Recorder(recorded[:2]) as recorder:
-        _contribute(recorded, 100)
-    assert recorded[0].grad is None and recorded[1].grad is None
-    assert recorded[2].grad is not None  # not recorded: added as usual
-    assert [k for k, _, _ in recorder.calls] == [0, 0, 1, 1]
-    # a plain accumulate is recorded as a stack of its one row
-    assert [right.shape for _, right, _ in recorder.calls] == [(1, 4, 4), (5, 1, 4),
-                                                              (6, 1, 4), (1, 1, 4)]
-    assert recorder.calls[0][2] is None and recorder.calls[3][2] is None
-    ad.replay(twins, recorder.calls)
-    for a, b in zip(direct[:2], twins[:2]):
-        assert a.grad.tobytes() == b.grad.tobytes()
-    ad.accumulate(recorded[0], np.ones((4, 4)))  # recording ends with the block
-    assert recorded[0].grad is not None and len(recorder.calls) == 4
 
 
 def _read_exactly(fd, size):
@@ -334,8 +301,8 @@ def test_adam_steps_reach_a_process_forked_before_them():
         finally:
             os._exit(0)
     for scale in (1e-3, 1e2, 1.0):
-        adam_step(params, [rng.standard_normal(shape) * scale for shape in shapes], state,
-                  lr=0.01)
+        adam_step(params, np.concatenate([rng.standard_normal(shape).reshape(-1) * scale
+                                          for shape in shapes]), state, lr=0.01)
     os.write(go_w, b"x")
     seen = _read_exactly(seen_r, params[2].data.nbytes)
     os.waitpid(pid, 0)
@@ -451,7 +418,7 @@ def test_adam_first_step_is_lr_signed():
     g = make_rng(19).standard_normal((2, 3)) * 5.0
     state = AdamState([p])
     before = p.data.copy()
-    adam_step([p], [g.copy()], state, lr=0.01, max_grad_norm=1e9)
+    adam_step([p], g.reshape(-1), state, lr=0.01, max_grad_norm=1e9)
     delta = p.data - before
     # bias-corrected first step moves by ~lr against the gradient sign
     assert np.allclose(delta, -0.01 * np.sign(g), atol=1e-6)
@@ -469,7 +436,8 @@ def test_flat_adam_has_the_bits_of_adam_per_parameter(max_grad_norm):
     for scale in (1e-3, 1e2, 1e-2, 10.0, 1e-4, 1.0):
         grads = [rng.standard_normal(shape) * scale for shape in shapes]
         clipped += np.sqrt(sum((g ** 2).sum() for g in grads)) > max_grad_norm > 0
-        adam_step(flat, grads, state, lr=0.01, max_grad_norm=max_grad_norm)
+        adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state, lr=0.01,
+                  max_grad_norm=max_grad_norm)
         tape_reference.adam_step(ref, grads, ref_state, lr=0.01, max_grad_norm=max_grad_norm)
     assert 0 < clipped < 6 if max_grad_norm == 1.0 else clipped == 0
     for a, b in zip(flat, ref):
@@ -481,13 +449,13 @@ def test_adam_step_rejects_params_other_than_its_states():
     # other list would silently update the wrong arrays
     a, b, twin = (Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
     state = AdamState([a, b])
-    grads = [np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))]
+    grad = np.ones(8)
     for params in ([b, a], [a], [a, b, twin], [a, twin]):
         with pytest.raises(DomainError, match="AdamState"):
-            adam_step(params, grads[:len(params)], state, lr=0.1)
+            adam_step(params, grad, state, lr=0.1)
     b.data = b.data.copy()  # no longer a view of the state's buffer
     with pytest.raises(DomainError, match="AdamState"):
-        adam_step([a, b], grads[:2], state, lr=0.1)
+        adam_step([a, b], grad, state, lr=0.1)
     assert state.step == 0
 
 

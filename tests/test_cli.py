@@ -668,14 +668,15 @@ def bad_value_argv(case, run):
         cfg = write_config(tmp_path / "s.cfg", n_routes=2, **{key: value})
         return ["synth", "--config", cfg, "--out", out]
     key, value = {"hidden-dim-0": ("hidden_dim", 0),
-                  "max-grad-norm-nan": ("max_grad_norm", "nan")}[case]
+                  "max-grad-norm-nan": ("max_grad_norm", "nan"),
+                  "train-seed--1": ("seed", -1)}[case]
     cfg = write_config(tmp_path / "t.cfg", epochs=1, **{key: value})
     return ["train", "--strategy", "general", "--routes", routes, "--config", cfg,
             "--out", out]
 
 
-@pytest.mark.parametrize("case", ["synth-seed--1", "zones-seed--1", "hidden-dim-0",
-                                  "max-grad-norm-nan", "eval-without-sequences",
+@pytest.mark.parametrize("case", ["synth-seed--1", "zones-seed--1", "train-seed--1",
+                                  "hidden-dim-0", "max-grad-norm-nan", "eval-without-sequences",
                                   *SYNTH_CONFIG_CASES])
 def test_bad_value_exits_2_with_one_line(general_run, case, capsys):
     argv = bad_value_argv(case, general_run)

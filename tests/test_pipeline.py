@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from zoneroute import model, parallel, pipeline, routegraph
 from zoneroute import zoning as zoning_module
+from zoneroute.autodiff import make_rng
 from zoneroute.baselines import nearest_neighbor
 from zoneroute.dataio import SynthConfig, generate_synthetic
 from zoneroute.errors import DataError, DomainError
@@ -145,22 +147,39 @@ def test_train_general_smoke_and_determinism():
         train_general([], cfg, spec)
 
 
+def _assert_agree(run, ref):
+    """Two (params, log rows) results agree to 1e-8, relative to each
+    parameter's and each log column's largest |value|."""
+    (params, log), (ref_params, ref_log) = run, ref
+    for name in params.names():
+        a, b = params[name].data, ref_params[name].data
+        assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max(), name
+    a, b = np.array(log), np.array(ref_log)
+    assert a.shape == b.shape
+    assert (np.abs(a - b) <= 1e-8 * np.abs(b).max(axis=0)).all()
+
+
+def _assert_identical(run, ref):
+    (params, log), (ref_params, ref_log) = run, ref
+    assert log == ref_log
+    for name in params.names():
+        assert params[name].data.tobytes() == ref_params[name].data.tobytes(), name
+
+
 def test_training_is_byte_identical_to_the_tape_composition(monkeypatch):
     # minibatches of two routes with two sampled rollouts each, one route
-    # with a random start, dropout on: the fused encoder and decoder nodes
-    # must hand every gradient the bits of the one-node-per-operation tape
+    # with a random start, dropout on: training with the fused encoder and
+    # decoder nodes agrees with the one-node-per-operation tape to rounding,
+    # since a decoder weight sums its per-step contributions as one product
     routes = small_routes()
     spec = default_grid_spec(routes)
     cfg = TrainConfig(epochs=2, batch_size=2, samples_per_route=2, hidden_dim=8,
                       dropout=0.2, seed=6)
     random_starts = frozenset({2})
-    fused, fused_log = train_general(routes, cfg, spec, random_starts=random_starts)
+    fused = train_general(routes, cfg, spec, random_starts=random_starts)
     monkeypatch.setattr(pipeline, "encode", tape_reference.encode)
     monkeypatch.setattr(model, "_run_decoder", tape_reference.run_decoder)
-    taped, taped_log = train_general(routes, cfg, spec, random_starts=random_starts)
-    assert fused_log == taped_log
-    for name in fused.names():
-        assert np.array_equal(fused[name].data, taped[name].data), name
+    _assert_agree(fused, train_general(routes, cfg, spec, random_starts=random_starts))
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -169,8 +188,8 @@ def test_training_has_the_bits_of_the_tape_composition_for_any_jobs(
     # minibatches of three routes, cut into chunks of one and two routes
     # over two processes or of one route each over three; two sampled
     # rollouts per route, one route with a random start, dropout on: any
-    # process count gives the bits of the one-node-per-operation tape run
-    # in one process
+    # process count gives the bits of one process, which agree with the
+    # one-node-per-operation tape to rounding
     routes = small_routes()
     spec = default_grid_spec(routes)
     cfg = TrainConfig(epochs=2, batch_size=3, samples_per_route=2, hidden_dim=8,
@@ -179,15 +198,38 @@ def test_training_has_the_bits_of_the_tape_composition_for_any_jobs(
     with monkeypatch.context() as tape:
         tape.setattr(pipeline, "encode", tape_reference.encode)
         tape.setattr(model, "_run_decoder", tape_reference.run_decoder)
-        taped, taped_log = train_general(routes, cfg, spec, random_starts=random_starts)
+        taped = train_general(routes, cfg, spec, random_starts=random_starts)
+    one = train_general(routes, cfg, spec, random_starts=random_starts)
     cpus = parallel.usable_cpus()
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus + cpus)  # 3 processes on 2 CPUs
-    fused, fused_log = train_general(routes, cfg, spec, random_starts=random_starts, jobs=jobs)
-    assert forked_workers == [0, jobs - 1]
-    assert fused_log == taped_log
-    for name in fused.names():
-        assert np.array_equal(fused[name].data, taped[name].data), name
+    fused = train_general(routes, cfg, spec, random_starts=random_starts, jobs=jobs)
+    assert forked_workers == [0, 0, jobs - 1]
+    _assert_identical(fused, one)
+    _assert_agree(fused, taped)
     assert multiprocessing.active_children() == []
+
+
+def test_a_routes_gradient_row_does_not_depend_on_its_company():
+    # the row a route's backward gives is the same alone in its chunk and
+    # beside the batch's other routes, in any position: dropout on, two
+    # sampled rollouts per route, one route with a random start
+    routes = small_routes()
+    cfg = TrainConfig(batch_size=3, samples_per_route=2, hidden_dim=8, dropout=0.2, seed=6)
+    params = model.ModelParams.init(cfg.model_config(), seed=5)
+    graphs = [routegraph.build_graph(r, default_grid_spec(routes)) for r in routes]
+    share = pipeline._Share(routes, graphs, params, cfg.samples_per_route)
+    rng = make_rng(9)
+    items = []
+    for i in (4, 1, 6):
+        start = int(rng.integers(routes[i].n)) if i == 1 else routes[i].start_index
+        items.append((i, start, rng.bit_generator.state))
+        rng.random(model.training_draws(routes[i].n, params.config, cfg.samples_per_route))
+    rollouts = len(items) * cfg.samples_per_route
+    alone = [share.rollouts([item], 40.0, rollouts)[1][0].tobytes() for item in items]
+    for order in itertools.permutations(range(len(items))):
+        rows = share.rollouts([items[k] for k in order], 40.0, rollouts)[1]
+        assert [rows[order.index(k)].tobytes() for k in range(len(items))] == alone
+    assert len(set(alone)) == len(items)
 
 
 def test_each_minibatch_after_the_first_is_one_exchange_with_a_worker(monkeypatch,
