@@ -544,6 +544,7 @@ def backward(loss: Tensor, params=()):
     """
     if loss.data.size != 1:
         raise DomainError(f"backward requires a scalar loss, got shape {loss.shape}")
+    params = list(params)
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -561,7 +562,7 @@ def backward(loss: Tensor, params=()):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    for node in topo:
+    for node in (*params, *topo):  # a parameter off the tape gets no stale gradient
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):

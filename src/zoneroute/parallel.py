@@ -1,12 +1,13 @@
 """Forked worker processes, each pinned to a CPU of its own, that answer
-requests over a pipe and hand the numpy arrays of their replies back through
-shared memory.
+requests over a pipe.
 
 Forking lets the workers start with everything the parent built, shared
-mappings included, with nothing pickled.  This needs fork, CPU affinity and
-memfd, that is Linux, and a process with no other threads; `supported()`
-says whether all are there, and where they are not a `Team` starts no
-worker, so its caller runs everything in its own process.
+mappings included, with nothing pickled: a caller that needs large arrays
+back has the workers write them into a mapping it shared before the fork.
+This needs fork and CPU affinity, that is Linux, and a process with no
+other threads; `supported()` says whether all are there, and where they are
+not a `Team` starts no worker, so its caller runs everything in its own
+process.
 
 Each process polls its pipe for up to `POLL_S` before it sleeps on it.  A
 process that sleeps leaves its CPU idle, and on a virtual machine an idle
@@ -17,9 +18,7 @@ that delay, by an amount that depends on the host's load.
 
 from __future__ import annotations
 
-import mmap
 import os
-import pickle
 import signal
 import time
 
@@ -54,53 +53,12 @@ def single_threaded() -> bool:
 
 
 def supported() -> bool:
-    """Whether workers may be forked here: fork, CPU affinity and memfd
-    exist, and this process is single-threaded.  A multi-threaded BLAS
-    starts its threads when numpy loads, unless told to use one (say, by
+    """Whether workers may be forked here: fork and CPU affinity exist, and
+    this process is single-threaded.  A multi-threaded BLAS starts its
+    threads when numpy loads, unless told to use one (say, by
     OPENBLAS_NUM_THREADS=1); forked workers would crowd its threads off the
     CPUs, and forking a multi-threaded process is unsafe in general."""
-    return (all(hasattr(os, name) for name in ("fork", "sched_setaffinity", "memfd_create"))
-            and single_threaded())
-
-
-class SharedBuffer:
-    """A growable memfd, made before the fork, that carries values between
-    processes: `dumps` pickles a value, writing its contiguous numpy arrays into
-    the memfd from its start; `loads` rebuilds it with those arrays as views of
-    the memfd, valid until the next `dumps`.  Only pages written take memory."""
-
-    def __init__(self):
-        self.fd = os.memfd_create("zoneroute")
-        self._view = memoryview(b"")
-
-    def _mapped(self, size: int) -> memoryview:
-        """This process's view of the memfd, at least `size` bytes long."""
-        if len(self._view) < size:
-            length = os.fstat(self.fd).st_size
-            if length < size:
-                length = -(-max(size, 2 * length, 1 << 20) // mmap.PAGESIZE) * mmap.PAGESIZE
-                os.ftruncate(self.fd, length)
-            self._view = memoryview(mmap.mmap(self.fd, length))
-        return self._view
-
-    def dumps(self, value) -> tuple:
-        """The pickle of `value` and each array's (start, end) in the memfd."""
-        frames, spans, end = [], [], 0
-        data = pickle.dumps(value, protocol=5, buffer_callback=frames.append)
-        for frame in frames:
-            raw = frame.raw()
-            start = -(-end // 64) * 64  # a cache line's start: the views are aligned
-            end = start + raw.nbytes
-            self._mapped(end)[start:end] = raw
-            spans.append((start, end))
-        return data, spans
-
-    def loads(self, data: bytes, spans):
-        view = self._mapped(spans[-1][1] if spans else 0)
-        return pickle.loads(data, buffers=[view[start:end] for start, end in spans])
-
-    def close(self) -> None:
-        os.close(self.fd)
+    return hasattr(os, "fork") and hasattr(os, "sched_setaffinity") and single_threaded()
 
 
 class Team:
@@ -114,19 +72,17 @@ class Team:
     `run` is the one exchange with the workers: worker k answers the request
     it hands over with `serve(request)`, whose result `run` returns, or with
     the type and message of the exception it raised, which `run` raises.  A
-    result crosses as it is, but for its contiguous numpy arrays, which the
-    worker writes into a memfd of its own (a `SharedBuffer`) and which arrive
-    as views of it: no copy is made, and the views stay valid until that
-    worker's next reply, even after the Team has exited.  A worker that stops
-    without answering makes `run` raise ChildProcessError.  `size` is the
-    number of workers; with 0 nothing is started."""
+    result crosses the pipe pickled; one that cannot be pickled is answered
+    with the exception that pickling raised.  A worker that stops without answering
+    makes `run` raise ChildProcessError.  `size` is the number of workers;
+    with 0 nothing is started."""
 
     def __init__(self, processes: int, serve):
         self.cpus = usable_cpus()
         processes = min(processes, len(self.cpus))
         self.size = processes - 1 if processes > 1 and supported() else 0
         self.serve = serve
-        self.conns, self.procs, self.buffers = [], [], []
+        self.conns, self.procs = [], []
         self.mask = None
 
     def __enter__(self):
@@ -137,14 +93,13 @@ class Team:
         context = multiprocessing.get_context("fork")
         try:
             for k in range(self.size):
-                self.buffers.append(SharedBuffer())
                 here, there = context.Pipe()
                 self.conns.append(here)
                 # the worker closes this process's ends of every pipe, its
                 # own included: an end left open in a worker would keep
                 # another worker from seeing the end of its pipe
                 proc = context.Process(target=_serve, daemon=True, args=(
-                    there, self.cpus[k + 1], self.serve, self.buffers[k], list(self.conns)))
+                    there, self.cpus[k + 1], self.serve, list(self.conns)))
                 proc.start()
                 self.procs.append(proc)
                 there.close()
@@ -165,11 +120,9 @@ class Team:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        for buffer in self.buffers:
-            buffer.close()
         if self.mask is not None:
             os.sched_setaffinity(0, self.mask)
-        self.conns, self.procs, self.buffers, self.mask = [], [], [], None
+        self.conns, self.procs, self.mask = [], [], None
         return False
 
     def run(self, requests, here) -> list:
@@ -188,7 +141,7 @@ class Team:
                 self._stopped(k)
             if status == "error":
                 raise _rebuilt(*reply)
-            answers.append(self.buffers[k].loads(*reply))
+            answers.append(reply[0])
         return answers
 
     def _stopped(self, k: int):
@@ -209,7 +162,7 @@ def _rebuilt(kind, message: str) -> BaseException:
             continue
 
 
-def _serve(conn, cpu: int, serve, buffer: SharedBuffer, inherited) -> None:
+def _serve(conn, cpu: int, serve, inherited) -> None:
     """A worker's loop: answer requests until the pipe ends."""
     # Ctrl-C reaches the whole process group; the parent stops its workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -222,10 +175,12 @@ def _serve(conn, cpu: int, serve, buffer: SharedBuffer, inherited) -> None:
         except EOFError:
             return
         try:
-            reply = ("ok", *buffer.dumps(serve(request)))
+            reply = ("ok", serve(request))
         except Exception as exc:  # handed to the parent, which raises it
             reply = ("error", type(exc), str(exc))
         try:
             conn.send(reply)
         except OSError:  # the parent has stopped listening
             return
+        except Exception as exc:  # the result cannot be pickled; nothing was sent
+            conn.send(("error", type(exc), str(exc)))

@@ -10,6 +10,7 @@ entering each zone at its stop nearest the current position.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 from dataclasses import dataclass, field, replace
 
@@ -106,9 +107,10 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
         eval_positions = range(n_train, len(routes))
 
     graphs = [build_graph(r, spec) for r in routes]
-    # workers see each Adam step through the state's shared parameter buffer
+    # workers see each Adam step through the state's shared parameter buffer,
+    # and this process sees their gradient rows through the share's
     state = AdamState(params.as_list())
-    share = _Share(routes, graphs, params, cfg.samples_per_route)
+    share = _Share(routes, graphs, params, cfg.samples_per_route, min(cfg.batch_size, n_train))
     baseline = None
     log_rows = []
 
@@ -132,37 +134,38 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
 class _Share:
     """One process's share of general training: the sampled rollouts of some
     routes of a minibatch, their backward, and greedy eval decodes.  This
-    process and every worker hold one over the same routes and graphs, and
-    over parameters whose data they share."""
+    process and every worker hold one over the same routes and graphs, over
+    parameters whose data they share, and over `rows`, a (`batch_size`, P)
+    array of gradient rows in an anonymous shared mapping."""
 
-    def __init__(self, routes, graphs, params: ModelParams, samples: int):
+    def __init__(self, routes, graphs, params: ModelParams, samples: int, batch_size: int):
         self.routes, self.graphs, self.params, self.samples = routes, graphs, params, samples
+        size = sum(p.data.size for p in params.as_list())
+        self.rows = np.frombuffer(mmap.mmap(-1, 8 * batch_size * size)).reshape(batch_size, size)
         self.rng = make_rng(0)  # each route restores its own snapshot
         self.log_probs, self.lengths = [], []  # one list per route
 
-    def backward(self, items, baseline: float, rollouts: int) -> np.ndarray:
-        """The gradient rows of the routes of the last `rollouts(items, ...)`
-        call: row b holds every parameter's gradient, in `ModelParams.names()`
-        order, from the backward of route b's share of the REINFORCE loss of a
-        batch of `rollouts` rollouts.  Frees their tapes."""
+    def backward(self, items, baseline: float, rollouts: int) -> None:
+        """Writes the gradient rows of the routes of the last
+        `rollouts(items, ...)` call: the route at batch position b fills row b
+        of `rows` with every parameter's gradient, in `ModelParams.names()`
+        order, from the backward of its share of the REINFORCE loss of a batch
+        of `rollouts` rollouts.  Frees their tapes."""
         plist = self.params.as_list()
-        rows = np.empty((len(items), sum(p.data.size for p in plist)))
-        for row, log_probs, lengths in zip(rows, self.log_probs, self.lengths):
-            ad.backward(reinforce_loss(log_probs, lengths, baseline, rollouts))
-            start = 0
-            for p in plist:  # a parameter off the route's tape has no gradient
-                end = start + p.data.size
-                row[start:end] = 0.0 if p.grad is None else p.grad.reshape(-1)
-                p.grad, start = None, end
+        for (b, *_), log_probs, lengths in zip(items, self.log_probs, self.lengths):
+            loss = reinforce_loss(log_probs, lengths, baseline, rollouts)
+            np.concatenate([g.reshape(-1) for g in ad.backward(loss, plist)], out=self.rows[b])
+        for p in plist:
+            p.grad = None
         self.log_probs = []
-        return rows
 
-    def rollouts(self, items, baseline, rollouts: int):
-        """Sampled rollouts of (position, start, rng state) items, each route
-        drawing from a Generator in its state.  Returns their tour lengths and,
-        unless the baseline is still None, their `backward`'s rows."""
+    def rollouts(self, items, baseline, rollouts: int) -> list[float]:
+        """Sampled rollouts of (batch position, route position, start, rng
+        state) items, each route drawing from a Generator in its state.
+        Returns their tour lengths, after their `backward` unless the baseline
+        is still None."""
         self.log_probs, self.lengths = [], []
-        for i, start, rng_state in items:
+        for _, i, start, rng_state in items:
             self.rng.bit_generator.state = rng_state
             E = encode(self.graphs[i], self.params, training=True, rng=self.rng)
             self.log_probs.append([])
@@ -171,8 +174,9 @@ class _Share:
                 tour, logp = decode_tape(E, start, self.params, greedy=False, rng=self.rng)
                 self.log_probs[-1].append(logp)
                 self.lengths[-1].append(tour_length(tour, self.routes[i].travel))
-        lengths = [x for route in self.lengths for x in route]
-        return lengths, None if baseline is None else self.backward(items, baseline, rollouts)
+        if baseline is not None:
+            self.backward(items, baseline, rollouts)
+        return [x for route in self.lengths for x in route]
 
     def greedy_lengths(self, positions) -> list[float]:
         return [_greedy(self.graphs[i], self.routes[i], self.params).length for i in positions]
@@ -195,7 +199,7 @@ def _split(items, parts: int) -> list:
 def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args) -> list:
     """`share.op(chunk, *args)` over `items` cut into chunks: this process
     runs the first, worker k the (k + 1)-th.  Returns the answers in chunk
-    order; a worker's arrays are views valid until its next reply."""
+    order."""
     chunks = _split(items, team.size + 1)
     return team.run([(op, chunk, *args) for chunk in chunks], share.run)
 
@@ -215,31 +219,30 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
     workers.  Each process runs its chunk's rollouts and the backward of each
     route's share of the loss, in one request; only the first batch, whose
     baseline is its own mean, asks for the backward in a second request.
-    Each route's backward gives one gradient row, which depends on nothing
-    but the route, its rng state and the parameters; the rows are added in
-    batch order into the flat gradient that Adam takes, so any number of
-    processes gives the same bits."""
+    Each route's backward writes one gradient row, which depends on nothing
+    but the route, its rng state and the parameters, at the route's batch
+    position in `share.rows`, whichever process runs it; only lengths cross
+    the pipe.  The rows are added in batch order into the flat gradient that
+    Adam takes, before the next request is sent, so any number of processes
+    gives the same bits."""
     routes, config = share.routes, share.params.config
     items = []
-    for i in batch:
+    for b, i in enumerate(batch):
         route = routes[i]
         start = int(rng.integers(route.n)) if i in random_starts else route.start_index
-        items.append((i, start, rng.bit_generator.state))
+        items.append((b, i, start, rng.bit_generator.state))
         rng.random(training_draws(route.n, config, cfg.samples_per_route))
     rollouts = len(items) * cfg.samples_per_route
-    answers = _in_chunks(team, share, "rollouts", items, baseline, rollouts)
-    lengths = [x for part, _ in answers for x in part]
+    lengths = [x for part in _in_chunks(team, share, "rollouts", items, baseline, rollouts)
+               for x in part]
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-        chunk_rows = _in_chunks(team, share, "backward", items, baseline, rollouts)
-    else:
-        chunk_rows = [rows for _, rows in answers]
+        _in_chunks(team, share, "backward", items, baseline, rollouts)
     grad = state.grad
     grad.fill(0.0)
-    for rows in chunk_rows:
-        for row in rows:
-            grad += row
+    for row in share.rows[:len(items)]:
+        grad += row
     ad.adam_step(share.params.as_list(), grad, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     return lengths, cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * batch_mean
 

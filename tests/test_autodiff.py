@@ -388,6 +388,12 @@ def test_backward_unreachable_param_gets_zeros():
     g = backward(ad.tsum(a), [a, b])
     assert np.allclose(g[0], 1.0)
     assert np.array_equal(g[1], np.zeros((2, 2)))
+    # and so after a backward that reached it, not the gradient that one left
+    a, b = Tensor(np.ones((1, 2)), requires_grad=True), Tensor(np.ones((1, 2)), requires_grad=True)
+    backward(ad.tsum(ad.mul(a, b)), [a, b])
+    g = backward(ad.tsum(a), [a, b])
+    assert np.array_equal(g[0], np.ones((1, 2)))
+    assert np.array_equal(g[1], np.zeros((1, 2)))
 
 
 def test_grad_check_detects_corruption():

@@ -2,7 +2,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import threading
 from dataclasses import replace
@@ -210,14 +209,15 @@ def test_training_has_the_bits_of_the_tape_composition_for_any_jobs(
 
 
 def test_a_routes_gradient_row_does_not_depend_on_its_company():
-    # the row a route's backward gives is the same alone in its chunk and
-    # beside the batch's other routes, in any position: dropout on, two
-    # sampled rollouts per route, one route with a random start
+    # the row a route's backward writes into the share's shared rows is the
+    # same alone in its chunk and beside the batch's other routes, at any
+    # batch position: dropout on, two sampled rollouts per route, one route
+    # with a random start
     routes = small_routes()
     cfg = TrainConfig(batch_size=3, samples_per_route=2, hidden_dim=8, dropout=0.2, seed=6)
     params = model.ModelParams.init(cfg.model_config(), seed=5)
     graphs = [routegraph.build_graph(r, default_grid_spec(routes)) for r in routes]
-    share = pipeline._Share(routes, graphs, params, cfg.samples_per_route)
+    share = pipeline._Share(routes, graphs, params, cfg.samples_per_route, cfg.batch_size)
     rng = make_rng(9)
     items = []
     for i in (4, 1, 6):
@@ -225,10 +225,14 @@ def test_a_routes_gradient_row_does_not_depend_on_its_company():
         items.append((i, start, rng.bit_generator.state))
         rng.random(model.training_draws(routes[i].n, params.config, cfg.samples_per_route))
     rollouts = len(items) * cfg.samples_per_route
-    alone = [share.rollouts([item], 40.0, rollouts)[1][0].tobytes() for item in items]
+    alone = []
+    for item in items:
+        share.rollouts([(0, *item)], 40.0, rollouts)
+        alone.append(share.rows[0].tobytes())
     for order in itertools.permutations(range(len(items))):
-        rows = share.rollouts([items[k] for k in order], 40.0, rollouts)[1]
-        assert [rows[order.index(k)].tobytes() for k in range(len(items))] == alone
+        share.rows.fill(np.nan)
+        share.rollouts([(b, *items[k]) for b, k in enumerate(order)], 40.0, rollouts)
+        assert [share.rows[order.index(k)].tobytes() for k in range(len(items))] == alone
     assert len(set(alone)) == len(items)
 
 
@@ -283,11 +287,11 @@ def _leaves(value):
     return [value]
 
 
-def test_a_worker_reply_carries_its_arrays_through_shared_memory(monkeypatch, forked_workers):
-    # a reply holding more than 1 MiB of arrays grows the worker's memfd past
-    # its first MiB; a smaller reply follows, written over the first.  Each
-    # arrives with the bits sent, the last stays so after the Team exits, and
-    # no array crosses the pipe
+def test_a_worker_reply_arrives_with_the_dtype_shape_and_bits_sent(forked_workers):
+    # Fortran-ordered, reversed, empty, int32 and nested arrays, in a reply
+    # many times the size of a pipe's buffer and in a smaller one after it,
+    # each arrive with the dtype, shape and bits sent, and keep them after
+    # the Team exits
     rng = np.random.default_rng(7)
     replies = [
         {"c": rng.standard_normal((400, 250)),
@@ -296,25 +300,46 @@ def test_a_worker_reply_carries_its_arrays_through_shared_memory(monkeypatch, fo
          "empty": np.empty((0, 4)), "one": np.full((1, 1), 2.5)},
         (np.arange(12, dtype=np.int32).reshape(3, 4), rng.standard_normal((5, 2))[::-1]),
     ]
-    assert sum(a.nbytes for a in _leaves(replies[0])) > 1 << 20
-    received = []
-    receive = parallel._receive
-    monkeypatch.setattr(parallel, "_receive",
-                        lambda conn: received.append(receive(conn)) or received[-1])
 
     def same(sent, got):
         return [(a.dtype, a.shape, a.tobytes()) for a in _leaves(sent)] == \
             [(b.dtype, b.shape, b.tobytes()) for b in _leaves(got)]
 
+    backs = []
     with parallel.Team(2, replies.__getitem__) as team:
         for k, reply in enumerate(replies):
-            _, back = team.run([None, k], lambda _: None)
-            assert same(reply, back)
-            if k == 0:
-                assert os.fstat(team.buffers[0].fd).st_size > 1 << 20
-                assert len(pickle.dumps(received[-1])) < 1 << 16
+            backs.append(team.run([None, k], lambda _: None)[1])
+            assert same(reply, backs[-1])
     assert forked_workers == [1]
-    assert same(replies[1], back)
+    assert all(same(reply, back) for reply, back in zip(replies, backs))
+
+
+def test_a_worker_result_that_cannot_be_pickled_is_raised_here(forked_workers):
+    # a worker whose result cannot be pickled answers with the pickling
+    # error, and keeps serving
+    with parallel.Team(2, lambda request: request or (lambda: None)) as team:
+        with pytest.raises(Exception, match="pickle"):
+            team.run([None, None], lambda _: None)
+        assert team.run([None, 7], lambda _: None) == [None, 7]
+    assert forked_workers == [1]
+
+
+def test_no_general_training_reply_crosses_the_pipe_holding_an_array(monkeypatch,
+                                                                     forked_workers):
+    # a worker writes its gradient rows into the share's shared mapping, so
+    # its replies hold lengths alone: rows pickled over the pipe would make
+    # the worker block on the pipe's buffer
+    received = []
+    receive = parallel._receive
+    monkeypatch.setattr(parallel, "_receive",
+                        lambda conn: received.append(receive(conn)) or received[-1])
+    routes = small_routes()  # 8 routes: 4 batches of 2 an epoch, all 8 evaluated
+    train_general(routes, TrainConfig(epochs=2, hidden_dim=8, seed=2),
+                  default_grid_spec(routes), jobs=2)
+    assert forked_workers == [1]
+    assert len(received) == 1 + 2 * 5  # the first batch's backward, then 5 an epoch
+    assert not [leaf for reply in received for leaf in _leaves(reply)
+                if isinstance(leaf, np.ndarray)]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
