@@ -617,8 +617,8 @@ class AdamState:
     Building it packs the parameters into one contiguous float64 buffer and
     makes each `p.data` a view of it, so that `adam_step` updates them all
     with a few whole-buffer numpy calls.  The moments, the flat gradient
-    (`grad`, which a caller may fill in place) and one scratch array are
-    buffers of the same size, kept from step to step:
+    (`grad`, which the caller fills before each step) and one scratch array
+    are buffers of the same size, kept from step to step:
     a fresh array that big would be a fresh memory mapping every step.
     The parameters' buffer is an anonymous shared mapping, so processes
     forked afterwards see every step."""
@@ -651,23 +651,15 @@ def global_norm(grads) -> float:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(params, grad, state: AdamState, lr: float, max_grad_norm: float = 1.0):
-    """One Adam update with bias correction; clips global grad norm first.
-
-    `params` must be the tensors `state` was built over, in its order, their
-    data still its views.  `grad` is their gradient, flat in the same layout:
-    `state.grad` itself, which the step overwrites, or an array copied there.
+def adam_step(state: AdamState, lr: float, max_grad_norm: float = 1.0):
+    """One Adam update of `state.params` from their gradient in `state.grad`,
+    which the step overwrites; bias-corrected, with the global grad norm
+    clipped first.  The parameters' data must still be the state's views.
     Every operation keeps the operands and the order of the same update
     written per parameter, so each parameter gets the same bits."""
-    if len(params) != len(state.params) or any(
-            p is not q or p.data is not view
-            for p, q, view in zip(params, state.params, state.views)):
-        raise DomainError("adam_step: params are not the tensors its AdamState was built over")
+    if any(p.data is not view for p, view in zip(state.params, state.views)):
+        raise DomainError("adam_step: a parameter's data is no longer its view of the AdamState")
     g, tmp, m, v = state.grad, state.scratch, state.m, state.v
-    if grad.shape != g.shape:
-        raise DomainError(f"adam_step: grad shape {grad.shape} != the parameters' flat {g.shape}")
-    if grad is not g:
-        g[...] = grad
     if max_grad_norm > 0:
         total = global_norm(np.split(g, np.cumsum([x.size for x in state.views[:-1]])))
         if total > max_grad_norm:

@@ -1,5 +1,6 @@
 """Forked worker processes, each pinned to a CPU of its own, that answer
-requests over a pipe.
+requests over a pipe while this process answers one more with the same
+function.
 
 Forking lets the workers start with everything the parent built, shared
 mappings included, with nothing pickled: a caller that needs large arrays
@@ -69,13 +70,13 @@ class Team:
     (k + 2)-th; on exit the pipes close, the workers end and this process's
     affinity mask is restored.
 
-    `run` is the one exchange with the workers: worker k answers the request
-    it hands over with `serve(request)`, whose result `run` returns, or with
-    the type and message of the exception it raised, which `run` raises.  A
-    result crosses the pipe pickled; one that cannot be pickled is answered
-    with the exception that pickling raised.  A worker that stops without answering
-    makes `run` raise ChildProcessError.  `size` is the number of workers;
-    with 0 nothing is started."""
+    `run` is the one exchange with the workers: this process and each worker
+    answer one request with `serve(request)`, whose result `run` returns; a
+    worker that raises answers with the exception's type and message, which
+    `run` raises.  A worker's result crosses the pipe pickled; one that cannot
+    be pickled is answered with the exception that pickling raised.  A worker
+    that stops without answering makes `run` raise ChildProcessError.  `size`
+    is the number of workers; with 0 nothing is started."""
 
     def __init__(self, processes: int, serve):
         self.cpus = usable_cpus()
@@ -125,15 +126,15 @@ class Team:
         self.conns, self.procs, self.mask = [], [], None
         return False
 
-    def run(self, requests, here) -> list:
+    def run(self, requests) -> list:
         """The answers to `requests`, in order: worker k answers requests[k + 1],
-        all sent first, while this process runs `here(requests[0])`."""
+        all sent first, while this process answers requests[0] with `serve`."""
         for k, request in enumerate(requests[1:]):
             try:
                 self.conns[k].send(request)
             except OSError:
                 self._stopped(k)
-        answers = [here(requests[0])]
+        answers = [self.serve(requests[0])]
         for k in range(len(requests) - 1):
             try:
                 status, *reply = _receive(self.conns[k])

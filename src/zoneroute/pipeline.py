@@ -124,8 +124,8 @@ def train_general(routes: list[Route], cfg: TrainConfig, spec: GridSpec,
                 lengths, baseline = _train_batch(batch, share, team, state, baseline,
                                                  cfg, rng, random_starts)
                 sampled_lengths.extend(lengths)
-            greedy_lengths = [x for part in _in_chunks(team, share, "greedy_lengths",
-                                                       list(eval_positions)) for x in part]
+            greedy_lengths = [x for part in _in_chunks(team, "greedy_lengths", list(eval_positions))
+                              for x in part]
             log_rows.append((epoch, float(np.mean(sampled_lengths)),
                              float(np.mean(greedy_lengths)), baseline))
     return params, log_rows
@@ -187,21 +187,15 @@ class _Share:
         return getattr(self, op)(*args)
 
 
-def _split(items, parts: int) -> list:
-    """`items` cut into at most `parts` contiguous non-empty chunks of sizes
-    differing by at most one, the later chunks taking the larger."""
-    parts = max(1, min(parts, len(items)))
+def _in_chunks(team: parallel.Team, op: str, items, *args) -> list:
+    """The team's answers, in chunk order, to `(op, chunk, *args)` for `items`
+    cut into at most `team.size + 1` contiguous non-empty chunks of sizes
+    differing by at most one, the later chunks taking the larger: this
+    process runs the first, worker k the (k + 1)-th."""
+    parts = max(1, min(team.size + 1, len(items)))
     small, larger = divmod(len(items), parts)
     bounds = np.cumsum([0] + [small] * (parts - larger) + [small + 1] * larger)
-    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _in_chunks(team: parallel.Team, share: _Share, op: str, items, *args) -> list:
-    """`share.op(chunk, *args)` over `items` cut into chunks: this process
-    runs the first, worker k the (k + 1)-th.  Returns the answers in chunk
-    order."""
-    chunks = _split(items, team.size + 1)
-    return team.run([(op, chunk, *args) for chunk in chunks], share.run)
+    return team.run([(op, items[a:b], *args) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg, rng,
@@ -222,9 +216,9 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
     Each route's backward writes one gradient row, which depends on nothing
     but the route, its rng state and the parameters, at the route's batch
     position in `share.rows`, whichever process runs it; only lengths cross
-    the pipe.  The rows are added in batch order into the flat gradient that
-    Adam takes, before the next request is sent, so any number of processes
-    gives the same bits."""
+    the pipe.  The rows are added in batch order into `state.grad`, the flat
+    gradient Adam steps from, before the next request is sent, so any number
+    of processes gives the same bits."""
     routes, config = share.routes, share.params.config
     items = []
     for b, i in enumerate(batch):
@@ -233,17 +227,16 @@ def _train_batch(batch, share: _Share, team: parallel.Team, state, baseline, cfg
         items.append((b, i, start, rng.bit_generator.state))
         rng.random(training_draws(route.n, config, cfg.samples_per_route))
     rollouts = len(items) * cfg.samples_per_route
-    lengths = [x for part in _in_chunks(team, share, "rollouts", items, baseline, rollouts)
+    lengths = [x for part in _in_chunks(team, "rollouts", items, baseline, rollouts)
                for x in part]
     batch_mean = float(np.mean(lengths))
     if baseline is None:
         baseline = batch_mean
-        _in_chunks(team, share, "backward", items, baseline, rollouts)
-    grad = state.grad
-    grad.fill(0.0)
+        _in_chunks(team, "backward", items, baseline, rollouts)
+    state.grad.fill(0.0)
     for row in share.rows[:len(items)]:
-        grad += row
-    ad.adam_step(share.params.as_list(), grad, state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
+        state.grad += row
+    ad.adam_step(state, cfg.lr, max_grad_norm=cfg.max_grad_norm)
     return lengths, cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * batch_mean
 
 
@@ -329,7 +322,7 @@ def train_zone_models(routes: list[Route], zoning: Zoning, cfg: TrainConfig,
             least = loads.index(min(loads))
             shares[least].append(i)
             loads[least] += costs[i]
-        results = [r for part in team.run(shares, serve) for r in part]
+        results = [r for part in team.run(shares) for r in part]
 
     zms = ZoneModelSet(zoning=zoning)
     for zone, params, log_rows in sorted(results, key=lambda result: result[0]):

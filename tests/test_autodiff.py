@@ -301,8 +301,9 @@ def test_adam_steps_reach_a_process_forked_before_them():
         finally:
             os._exit(0)
     for scale in (1e-3, 1e2, 1.0):
-        adam_step(params, np.concatenate([rng.standard_normal(shape).reshape(-1) * scale
-                                          for shape in shapes]), state, lr=0.01)
+        np.concatenate([rng.standard_normal(shape).reshape(-1) * scale for shape in shapes],
+                       out=state.grad)
+        adam_step(state, lr=0.01)
     os.write(go_w, b"x")
     seen = _read_exactly(seen_r, params[2].data.nbytes)
     os.waitpid(pid, 0)
@@ -424,7 +425,8 @@ def test_adam_first_step_is_lr_signed():
     g = make_rng(19).standard_normal((2, 3)) * 5.0
     state = AdamState([p])
     before = p.data.copy()
-    adam_step([p], g.reshape(-1), state, lr=0.01, max_grad_norm=1e9)
+    state.grad[...] = g.reshape(-1)
+    adam_step(state, lr=0.01, max_grad_norm=1e9)
     delta = p.data - before
     # bias-corrected first step moves by ~lr against the gradient sign
     assert np.allclose(delta, -0.01 * np.sign(g), atol=1e-6)
@@ -442,26 +444,23 @@ def test_flat_adam_has_the_bits_of_adam_per_parameter(max_grad_norm):
     for scale in (1e-3, 1e2, 1e-2, 10.0, 1e-4, 1.0):
         grads = [rng.standard_normal(shape) * scale for shape in shapes]
         clipped += np.sqrt(sum((g ** 2).sum() for g in grads)) > max_grad_norm > 0
-        adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), state, lr=0.01,
-                  max_grad_norm=max_grad_norm)
+        np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
+        adam_step(state, lr=0.01, max_grad_norm=max_grad_norm)
         tape_reference.adam_step(ref, grads, ref_state, lr=0.01, max_grad_norm=max_grad_norm)
     assert 0 < clipped < 6 if max_grad_norm == 1.0 else clipped == 0
     for a, b in zip(flat, ref):
         assert np.array_equal(a.data, b.data)
 
 
-def test_adam_step_rejects_params_other_than_its_states():
-    # the state updates one flat buffer whose views the parameters are; any
-    # other list would silently update the wrong arrays
-    a, b, twin = (Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(3))
+def test_adam_step_rejects_a_parameter_whose_data_left_the_states_buffer():
+    # the state updates one flat buffer whose views the parameters are; a
+    # parameter whose data was reassigned would silently miss every step
+    a, b = (Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(2))
     state = AdamState([a, b])
-    grad = np.ones(8)
-    for params in ([b, a], [a], [a, b, twin], [a, twin]):
-        with pytest.raises(DomainError, match="AdamState"):
-            adam_step(params, grad, state, lr=0.1)
+    state.grad.fill(1.0)
     b.data = b.data.copy()  # no longer a view of the state's buffer
     with pytest.raises(DomainError, match="AdamState"):
-        adam_step([a, b], grad, state, lr=0.1)
+        adam_step(state, lr=0.1)
     assert state.step == 0
 
 

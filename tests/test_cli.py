@@ -788,10 +788,11 @@ def test_a_failing_worker_ends_training_with_one_line(workspace, forked_workers,
 
 
 def test_a_worker_allocation_failure_is_raised_here_as_a_memory_error(forked_workers):
-    # numpy's _ArrayMemoryError cannot be built from its message alone
-    with parallel.Team(2, _out_of_memory) as team:
+    # numpy's _ArrayMemoryError cannot be built from its message alone; only
+    # the worker's request fails, so the error that arrives is the worker's
+    with parallel.Team(2, lambda request: request and _out_of_memory()) as team:
         with pytest.raises(MemoryError) as caught:
-            team.run([None, "request"], lambda _: None)
+            team.run([None, "request"])
     assert forked_workers == [1]
     assert str(caught.value) == str(_no_memory())
 

@@ -334,10 +334,13 @@ def _summed_magnitudes(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 40, 151])
 def test_fused_nodes_match_the_tape_composition(monkeypatch, n):
-    # the forward has the tape's bits; a decoder weight sums its per-step
-    # contributions as one product, so its gradient agrees to rounding,
-    # measured against the array's largest |value| plus its terms' (at
-    # n = 151 without dropout some gradients cancel terms 1e7 times larger)
+    # the forward has the tape's bits, and so do the gradients of E and of
+    # every encoder parameter: the encoder's gradients cancel terms far
+    # larger than themselves, so handing E its gradient in another order
+    # moved zone_embed's by about 1e-6 of its largest |value|.  A decoder
+    # weight sums its per-step contributions as one product, so its gradient
+    # agrees to rounding, measured against the array's largest |value| plus
+    # its terms' (at n = 151 without dropout some cancel terms 1e7 times larger)
     graphs = [_graph_of_size(n, seed=n), _graph_of_size(n, seed=n + 100)]
     magnitudes = _summed_magnitudes(monkeypatch)
     for dropout in (0.0, 0.2):
@@ -352,8 +355,11 @@ def test_fused_nodes_match_the_tape_composition(monkeypatch, n):
             assert all(np.array_equal(a, b) for a, b in zip(lps, ref_lps))
             names = params.names() + ["E0", "E1"]
             for name, a, b in zip(names, grads, ref_grads):
-                scale = np.abs(b).max() + magnitudes.get(name, 0.0)
-                assert np.abs(a - b).max() <= 1e-10 * scale, (dropout, mode, name)
+                if name.startswith(("gru.", "ptr.", "dec.")):
+                    scale = np.abs(b).max() + magnitudes.get(name, 0.0)
+                    assert np.abs(a - b).max() <= 1e-10 * scale, (dropout, mode, name)
+                else:
+                    assert np.array_equal(a, b), (dropout, mode, name)
     if n == 11:
         # finite differences cannot resolve the gradients through the
         # encoder, whose output is nearly one vector; on spread embeddings

@@ -242,8 +242,8 @@ def test_each_minibatch_after_the_first_is_one_exchange_with_a_worker(monkeypatc
     # every length; each later batch sends its rollouts and backward at once
     sent = []
     run = parallel.Team.run
-    monkeypatch.setattr(parallel.Team, "run", lambda team, requests, here:
-                        sent.extend(r[0] for r in requests[1:]) or run(team, requests, here))
+    monkeypatch.setattr(parallel.Team, "run", lambda team, requests:
+                        sent.extend(r[0] for r in requests[1:]) or run(team, requests))
     routes = small_routes()  # 8 routes: 4 batches of 2 an epoch, all 8 evaluated
     train_general(routes, TrainConfig(epochs=2, hidden_dim=8, seed=2),
                   default_grid_spec(routes), jobs=2)
@@ -287,6 +287,19 @@ def _leaves(value):
     return [value]
 
 
+def test_a_team_answers_the_first_request_here_with_its_serve(forked_workers):
+    def serve(_):
+        return os.getpid()
+
+    with parallel.Team(2, serve) as team:
+        here, other = team.run([None, None])
+    assert here == os.getpid() != other
+    with parallel.Team(1, serve) as team:
+        assert team.run([None]) == [os.getpid()]
+        assert team.procs == []
+    assert forked_workers == [1, 0]
+
+
 def test_a_worker_reply_arrives_with_the_dtype_shape_and_bits_sent(forked_workers):
     # Fortran-ordered, reversed, empty, int32 and nested arrays, in a reply
     # many times the size of a pipe's buffer and in a smaller one after it,
@@ -306,9 +319,10 @@ def test_a_worker_reply_arrives_with_the_dtype_shape_and_bits_sent(forked_worker
             [(b.dtype, b.shape, b.tobytes()) for b in _leaves(got)]
 
     backs = []
-    with parallel.Team(2, replies.__getitem__) as team:
+    # this process's own request is None, so only the worker's reply is checked
+    with parallel.Team(2, lambda k: None if k is None else replies[k]) as team:
         for k, reply in enumerate(replies):
-            backs.append(team.run([None, k], lambda _: None)[1])
+            backs.append(team.run([None, k])[1])
             assert same(reply, backs[-1])
     assert forked_workers == [1]
     assert all(same(reply, back) for reply, back in zip(replies, backs))
@@ -316,11 +330,11 @@ def test_a_worker_reply_arrives_with_the_dtype_shape_and_bits_sent(forked_worker
 
 def test_a_worker_result_that_cannot_be_pickled_is_raised_here(forked_workers):
     # a worker whose result cannot be pickled answers with the pickling
-    # error, and keeps serving
+    # error, and keeps serving; this process's own result is never pickled
     with parallel.Team(2, lambda request: request or (lambda: None)) as team:
         with pytest.raises(Exception, match="pickle"):
-            team.run([None, None], lambda _: None)
-        assert team.run([None, 7], lambda _: None) == [None, 7]
+            team.run([7, None])
+        assert team.run([7, 8]) == [7, 8]
     assert forked_workers == [1]
 
 
